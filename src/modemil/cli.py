@@ -140,7 +140,8 @@ def _load_model(path) -> tuple[TransportModeClassifier, dict]:
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "model":
         raise ValueError(f"{path}: not a model checkpoint")
-    model = TransportModeClassifier(arch=meta["arch"], seed=meta["seed"])
+    config = meta["config"]
+    model = TransportModeClassifier(meta["arch"], config["n_accel_instances"], meta["seed"], config["dropout"])
     model.load_state_dict(arrays)
     return model, meta
 

@@ -3,7 +3,7 @@ and the attention interpretability tables."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -185,7 +185,7 @@ def run_experiment(
         folds = loso_folds(features, seed=run_seed)
         for fold in folds:
             transitions = estimate_transitions(dev_label_sequences(features, fold.test_user))
-            run_config = _with_seed(config, run_seed)
+            run_config = replace(config, seed=run_seed)
             if kind == "per-placement":
                 for placement in features[0].placements:
                     dataset = build_bags(features, placement=placement)
@@ -210,12 +210,6 @@ def run_experiment(
                 if collect_attention and run == 0:
                     report.attention = attention_report(model, test_set, test_idx)
     return report
-
-
-def _with_seed(config: TrainConfig, seed: int) -> TrainConfig:
-    fields = config.__dict__.copy()
-    fields["seed"] = seed
-    return TrainConfig(**fields)
 
 
 def attention_report(

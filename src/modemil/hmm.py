@@ -19,7 +19,6 @@ from . import MODES, N_MODES
 __all__ = [
     "estimate_transitions",
     "viterbi",
-    "smooth_sequence",
     "save_transitions",
     "load_transitions",
 ]
@@ -80,11 +79,6 @@ def viterbi(emissions: np.ndarray, transitions: np.ndarray, start: np.ndarray | 
     for t in range(steps - 1, 0, -1):
         path[t - 1] = back[t, path[t]]
     return path
-
-
-def smooth_sequence(emissions: np.ndarray, transitions: np.ndarray) -> np.ndarray:
-    """Viterbi smoothing of one recording session's probability rows."""
-    return viterbi(emissions, transitions)
 
 
 def save_transitions(path, transitions: np.ndarray, modes: tuple[str, ...] = MODES) -> None:

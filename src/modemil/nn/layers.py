@@ -153,13 +153,12 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ValueError("spatial extent smaller than the kernel")
     pad = k_h // 2
     padded = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    cols = np.empty((batch, height, width, k_h, k_w, c_in))
-    for i in range(k_h):
-        for j in range(k_w):
-            cols[:, :, :, i, j, :] = padded[:, i : i + height, j : j + width, :]
-    cols_flat = cols.reshape(batch * height * width, k_h * k_w * c_in)
-    k_flat = kernel.data.reshape(k_h * k_w * c_in, c_out)
-    out_data = (cols_flat @ k_flat + bias.data).reshape(batch, height, width, c_out)
+    # im2col in one copy of the (batch, H, W, c_in, k, k) windows, in the kernel's (k, k, c_in) order
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k_h, k_w), axis=(1, 2))
+    cols_flat = windows.transpose(0, 1, 2, 4, 5, 3).reshape(batch * height * width, k_h * k_w * c_in)
+    out_flat = cols_flat @ kernel.data.reshape(k_h * k_w * c_in, c_out)
+    out_flat += bias.data
+    out_data = out_flat.reshape(batch, height, width, c_out)
 
     def backward(grad):
         grad_flat = grad.reshape(batch * height * width, c_out)
@@ -206,22 +205,24 @@ def max_pool(x: Tensor) -> Tensor:
     if height < 2 or width < 2:
         raise ValueError("max_pool needs spatial extents >= 2")
     h2, w2 = height // 2, width // 2
-    blocks = x.data[:, : h2 * 2, : w2 * 2, :].reshape(batch, h2, 2, w2, 2, channels)
-    quads = blocks.transpose(0, 1, 3, 5, 2, 4).reshape(batch, h2, w2, channels, 4)
-    winners = quads.argmax(axis=-1)
-    out_data = np.take_along_axis(quads, winners[..., None], axis=-1)[..., 0]
+    # The four stride-2 views, in argmax's tie order over a 2x2 block.
+    blocks = [(slice(i, 2 * h2, 2), slice(j, 2 * w2, 2)) for i in (0, 1) for j in (0, 1)]
+    quads = [x.data[:, rows, cols] for rows, cols in blocks]
+    out_data = np.maximum(np.maximum(quads[0], quads[1]), np.maximum(quads[2], quads[3]))
 
     def backward(grad):
         if not x.requires_grad:
             return
-        dquads = np.zeros_like(quads)
-        np.put_along_axis(dquads, winners[..., None], grad[..., None], axis=-1)
+        # Route to the first maximum of each block, NaN counting as one (argmax's pick);
+        # the last view gets the blocks none of the first three won.
         dx = np.zeros_like(x.data)
-        dx[:, : h2 * 2, : w2 * 2, :] = (
-            dquads.reshape(batch, h2, w2, channels, 2, 2)
-            .transpose(0, 1, 4, 2, 5, 3)
-            .reshape(batch, h2 * 2, w2 * 2, channels)
-        )
+        unrouted = np.ones(out_data.shape, dtype=bool)
+        for (rows, cols), quad in zip(blocks[:3], quads[:3]):
+            win = (quad == out_data) | np.isnan(quad)
+            win &= unrouted
+            unrouted ^= win
+            dx[:, rows, cols] = np.where(win, grad, 0.0)
+        dx[:, blocks[3][0], blocks[3][1]] = np.where(unrouted, grad, 0.0)
         x._accumulate(dx)
 
     return make_node(out_data, (x,), backward)
@@ -252,15 +253,29 @@ class BatchNorm(Module):
             if x.shape[0] < 2:
                 raise ValueError("batch normalization needs a batch size >= 2 in training mode")
             return self._train_forward(x)
-        inv = Tensor(1.0 / np.sqrt(self._buffers["running_var"] + self.eps))
-        mean = Tensor(self._buffers["running_mean"])
-        return (x - mean) * inv * self.gain + self.bias
+        mean = self._buffers["running_mean"]
+        inv = 1.0 / np.sqrt(self._buffers["running_var"] + self.eps)
+        out_data = x.data - mean  # ((x - mean) * inv) * gain + bias, in one buffer
+        out_data *= inv
+        out_data *= self.gain.data
+        out_data += self.bias.data
+        gain, bias = self.gain, self.bias
+
+        def backward(grad):
+            if bias.requires_grad:
+                bias._accumulate(grad.reshape(-1, self.n_channels).sum(axis=0))
+            if gain.requires_grad:
+                gain._accumulate((grad * ((x.data - mean) * inv)).reshape(-1, self.n_channels).sum(axis=0))
+            if x.requires_grad:
+                x._accumulate(grad * gain.data * inv)
+
+        return make_node(out_data, (x, gain, bias), backward)
 
     def _train_forward(self, x: Tensor) -> Tensor:
-        axes = tuple(range(x.ndim - 1))
-        count = int(np.prod([x.shape[a] for a in axes]))
-        mean = x.data.mean(axis=axes)
-        var = np.maximum((x.data * x.data).mean(axis=axes) - mean * mean, 0.0)
+        flat = x.data.reshape(-1, self.n_channels)
+        count = flat.shape[0]
+        mean = flat.mean(axis=0)
+        var = np.maximum((flat * flat).mean(axis=0) - mean * mean, 0.0)
         inv = 1.0 / np.sqrt(var + self.eps)
         scale = self.gain.data * inv
         out_data = x.data * scale
@@ -271,8 +286,9 @@ class BatchNorm(Module):
         gain, bias = self.gain, self.bias
 
         def backward(grad):
-            grad_sum = grad.sum(axis=axes)
-            grad_gain = inv * ((grad * x.data).sum(axis=axes) - mean * grad_sum)
+            grad_flat = grad.reshape(flat.shape)
+            grad_sum = grad_flat.sum(axis=0)
+            grad_gain = inv * ((grad_flat * flat).sum(axis=0) - mean * grad_sum)
             if bias.requires_grad:
                 bias._accumulate(grad_sum)
             if gain.requires_grad:

@@ -103,13 +103,15 @@ class Tensor:
     # -- autograd ------------------------------------------------------------
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Keep the first contribution without a copy; add later ones out of place.
+
+        ``.grad`` may share memory with other nodes' gradients, which is sound
+        because no backward writes into an array it received or handed on."""
         if self.grad is None:
-            # Copy: callers may pass views or arrays they still own.
-            self.grad = np.array(grad, dtype=np.float64, copy=True)
-            if self.grad.shape != self.data.shape:
-                self.grad = np.broadcast_to(grad, self.data.shape).copy()
+            grad = np.asarray(grad, dtype=np.float64)
+            self.grad = grad if grad.shape == self.data.shape else np.broadcast_to(grad, self.data.shape).copy()
         else:
-            self.grad += grad
+            self.grad = self.grad + grad
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this node; defaults to d(self)/d(self) = 1 on scalars."""
@@ -393,14 +395,14 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _wrap(a)
-    mask = a.data > 0.0
+    # np.maximum (not where/mask) so NaN poisoning stays visible downstream
+    out_data = np.maximum(a.data, 0.0)
 
     def backward(grad):
         if a.requires_grad:
-            a._accumulate(grad * mask)
+            a._accumulate(grad * (out_data > 0.0))  # out > 0 exactly where a > 0
 
-    # np.maximum (not where/mask) so NaN poisoning stays visible downstream
-    return make_node(np.maximum(a.data, 0.0), (a,), backward)
+    return make_node(out_data, (a,), backward)
 
 
 def tanh(a) -> Tensor:

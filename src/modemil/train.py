@@ -5,7 +5,7 @@ model with the pre-trained weights frozen)."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -256,6 +256,4 @@ def run_pretraining(
 
 
 def _stage_config(config: TrainConfig, arch: str, resample_placement: bool = False) -> TrainConfig:
-    fields = config.__dict__.copy()
-    fields.update(arch=arch, pretrain="none", resample_placement=resample_placement)
-    return TrainConfig(**fields)
+    return replace(config, arch=arch, pretrain="none", resample_placement=resample_placement)

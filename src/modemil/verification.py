@@ -20,11 +20,6 @@ LAYER_LIMIT = 1e-6
 MODEL_LIMIT = 1e-4
 
 
-def _weighted_sum(t: Tensor, rng: np.random.Generator) -> "callable":
-    w = Tensor(rng.normal(size=t.shape))
-    return w
-
-
 def layer_checks(verbose: bool = False, seed: int = 7) -> float:
     """Max relative error over all per-layer finite-difference checks."""
     rng = np.random.default_rng(seed)

@@ -59,6 +59,32 @@ def test_train_outputs(pipeline):
     assert manifest["config"]["seed"] == 1
 
 
+
+def test_checkpoint_round_trip_keeps_model_config(pipeline):
+    from modemil.bags import build_bags, load_features
+    from modemil.cli import _load_model
+    from modemil.splits import loso_folds, split_bags
+    from modemil.train import TrainConfig, predict_dataset, run_training
+
+    train_cfg = {"lr": 1e-3, "max_epochs": 1, "seed": 2, "augment": False, "n_accel_instances": 2, "dropout": 0.1}
+    (pipeline / "train_two.json").write_text(json.dumps(train_cfg))
+    args = ["train", "--features", str(pipeline / "features.npz"), "--config", str(pipeline / "train_two.json")]
+    assert main(args + ["--out", str(pipeline / "run_two")]) == 0
+    model, _ = _load_model(pipeline / "run_two" / "checkpoint.npz")
+    assert model.n_accel_instances == 2
+    assert model.accel_encoder.drop1.rate == 0.1
+
+    # Training is deterministic, so the same run in process is the saved model.
+    features = load_features(pipeline / "features.npz")
+    config = TrainConfig(**train_cfg)
+    dataset = build_bags(features)
+    train_idx, val_idx, test_idx = split_bags(dataset, loso_folds(features, seed=config.seed)[0])
+    trained, _ = run_training(config, dataset, train_idx, val_idx)
+    expected, _ = predict_dataset(trained, dataset, test_idx)
+    probs, _ = predict_dataset(model, dataset, test_idx)
+    assert np.array_equal(probs, expected)
+
+
 def test_evaluate_with_and_without_hmm(pipeline, capsys):
     run = pipeline / "run"
     args = ["evaluate", "--features", str(pipeline / "features.npz"), "--model", str(run / "checkpoint.npz")]

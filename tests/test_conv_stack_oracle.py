@@ -1,0 +1,243 @@
+"""The conv-stack ops against straightforward reference implementations.
+
+The references below are the earlier, simpler forms of ``conv2d``,
+``max_pool`` and ``BatchNorm``: im2col by one strided slice copy per kernel
+tap, max-pooling by argmax over a copied 4-wide block axis, and eval-mode
+batch norm as a chain of tensor ops. The fast versions in ``modemil.nn`` must
+match them bit for bit, forward and backward, so equality here is exact
+(``np.array_equal``), not approximate.
+"""
+
+import numpy as np
+import pytest
+
+from modemil.nn import BatchNorm, Tensor, conv2d, make_node, max_pool
+from modemil.nn.tensor import relu
+
+
+def reference_conv2d(x, kernel, bias):
+    batch, height, width, c_in = x.shape
+    k_h, k_w, _, c_out = kernel.shape
+    pad = k_h // 2
+    padded = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    cols = np.empty((batch, height, width, k_h, k_w, c_in))
+    for i in range(k_h):
+        for j in range(k_w):
+            cols[:, :, :, i, j, :] = padded[:, i : i + height, j : j + width, :]
+    cols_flat = cols.reshape(batch * height * width, k_h * k_w * c_in)
+    k_flat = kernel.data.reshape(k_h * k_w * c_in, c_out)
+    out_data = (cols_flat @ k_flat + bias.data).reshape(batch, height, width, c_out)
+
+    def backward(grad):
+        grad_flat = grad.reshape(batch * height * width, c_out)
+        if kernel.requires_grad:
+            kernel._accumulate((cols_flat.T @ grad_flat).reshape(kernel.shape))
+        if bias.requires_grad:
+            bias._accumulate(grad_flat.sum(axis=0))
+        if x.requires_grad:
+            dx = np.zeros_like(x.data)
+            tap = np.empty((batch * height * width, c_in))
+            for i in range(k_h):
+                for j in range(k_w):
+                    np.matmul(grad_flat, kernel.data[i, j].T, out=tap)
+                    di, dj = i - pad, j - pad
+                    src = tap.reshape(batch, height, width, c_in)[
+                        :, max(0, -di) : height - max(0, di), max(0, -dj) : width - max(0, dj), :
+                    ]
+                    dx[:, max(0, di) : height - max(0, -di), max(0, dj) : width - max(0, -dj), :] += src
+            x._accumulate(dx)
+
+    return make_node(out_data, (x, kernel, bias), backward)
+
+
+def reference_max_pool(x):
+    batch, height, width, channels = x.shape
+    h2, w2 = height // 2, width // 2
+    blocks = x.data[:, : h2 * 2, : w2 * 2, :].reshape(batch, h2, 2, w2, 2, channels)
+    quads = blocks.transpose(0, 1, 3, 5, 2, 4).reshape(batch, h2, w2, channels, 4)
+    winners = quads.argmax(axis=-1)
+    out_data = np.take_along_axis(quads, winners[..., None], axis=-1)[..., 0]
+
+    def backward(grad):
+        if not x.requires_grad:
+            return
+        dquads = np.zeros_like(quads)
+        np.put_along_axis(dquads, winners[..., None], grad[..., None], axis=-1)
+        dx = np.zeros_like(x.data)
+        dx[:, : h2 * 2, : w2 * 2, :] = (
+            dquads.reshape(batch, h2, w2, channels, 2, 2)
+            .transpose(0, 1, 4, 2, 5, 3)
+            .reshape(batch, h2 * 2, w2 * 2, channels)
+        )
+        x._accumulate(dx)
+
+    return make_node(out_data, (x,), backward)
+
+
+def reference_batch_norm_train(bn, x):
+    axes = tuple(range(x.ndim - 1))
+    count = int(np.prod([x.shape[a] for a in axes]))
+    mean = x.data.mean(axis=axes)
+    var = np.maximum((x.data * x.data).mean(axis=axes) - mean * mean, 0.0)
+    inv = 1.0 / np.sqrt(var + bn.eps)
+    scale = bn.gain.data * inv
+    out_data = x.data * scale
+    out_data += bn.bias.data - scale * mean
+    keep = bn.momentum
+    bn._buffers["running_mean"] = keep * bn._buffers["running_mean"] + (1.0 - keep) * mean
+    bn._buffers["running_var"] = keep * bn._buffers["running_var"] + (1.0 - keep) * var
+    gain, bias = bn.gain, bn.bias
+
+    def backward(grad):
+        grad_sum = grad.sum(axis=axes)
+        grad_gain = inv * ((grad * x.data).sum(axis=axes) - mean * grad_sum)
+        if bias.requires_grad:
+            bias._accumulate(grad_sum)
+        if gain.requires_grad:
+            gain._accumulate(grad_gain)
+        if x.requires_grad:
+            a_coef = gain.data * inv
+            b_coef = -a_coef * inv * grad_gain / count
+            c_coef = -a_coef * grad_sum / count - b_coef * mean
+            dx = grad * a_coef
+            dx += x.data * b_coef
+            dx += c_coef
+            x._accumulate(dx)
+
+    return make_node(out_data, (x, gain, bias), backward)
+
+
+def reference_batch_norm_eval(bn, x):
+    inv = Tensor(1.0 / np.sqrt(bn._buffers["running_var"] + bn.eps))
+    mean = Tensor(bn._buffers["running_mean"])
+    return (x - mean) * inv * bn.gain + bn.bias
+
+
+def _leaf(data, requires_grad=True):
+    return Tensor(np.array(data, dtype=np.float64), requires_grad=requires_grad)
+
+
+def _run(op, arrays, grad_rng, flags=None):
+    """Forward ``op`` on fresh leaves, backpropagate a fixed random gradient."""
+    flags = flags or [True] * len(arrays)
+    leaves = [_leaf(a, f) for a, f in zip(arrays, flags)]
+    out = op(*leaves)
+    upstream = grad_rng.normal(size=out.shape)
+    if out.requires_grad:
+        out.backward(upstream)
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+def _assert_same(op, reference, arrays, seed=0, flags=None):
+    out, grads = _run(op, arrays, np.random.default_rng(seed), flags)
+    ref_out, ref_grads = _run(reference, arrays, np.random.default_rng(seed), flags)
+    assert np.array_equal(out, ref_out, equal_nan=True)
+    for grad, ref_grad in zip(grads, ref_grads):
+        if ref_grad is None:
+            assert grad is None
+        else:
+            assert grad.shape == ref_grad.shape
+            assert np.array_equal(grad, ref_grad, equal_nan=True)
+
+
+CONV_SHAPES = [((2, 7, 7, 2), 3, 4), ((3, 5, 6, 3), 3, 2), ((1, 9, 7, 1), 5, 3), ((2, 4, 4, 2), 1, 2)]
+
+
+@pytest.mark.parametrize("shape,k,c_out", CONV_SHAPES)
+def test_conv2d_matches_reference(shape, k, c_out):
+    rng = np.random.default_rng(k * 10 + c_out)
+    arrays = [rng.normal(size=shape), rng.normal(size=(k, k, shape[-1], c_out)), rng.normal(size=c_out)]
+    _assert_same(conv2d, reference_conv2d, arrays)
+
+
+def test_conv2d_matches_reference_with_frozen_operands():
+    rng = np.random.default_rng(3)
+    arrays = [rng.normal(size=(2, 7, 7, 2)), rng.normal(size=(3, 3, 2, 4)), rng.normal(size=4)]
+    for flags in ([True, False, False], [False, True, True], [False, False, False]):
+        _assert_same(conv2d, reference_conv2d, arrays, flags=flags)
+
+
+def _tie_heavy_inputs():
+    rng = np.random.default_rng(11)
+    inputs = {
+        "normal_7x7": rng.normal(size=(2, 7, 7, 3)),
+        "even_6x5": rng.normal(size=(2, 6, 5, 2)),
+        "single_block": rng.normal(size=(1, 2, 2, 1)),
+        "post_relu": np.maximum(rng.normal(size=(2, 7, 7, 3)), 0.0),
+        "small_integers": rng.integers(0, 3, size=(3, 7, 9, 2)).astype(float),
+        "all_equal": np.full((1, 4, 4, 2), 1.5),
+        "signed_zeros": rng.choice([0.0, -0.0], size=(2, 6, 6, 2)),
+        "infinities": rng.choice([-np.inf, np.inf, 1.0], size=(2, 6, 6, 1)),
+        "nans": np.where(rng.random((2, 6, 6, 2)) < 0.2, np.nan, rng.normal(size=(2, 6, 6, 2))),
+    }
+    # One 2x2 block per pattern: 2, 3 and 4 equal maxima in every position.
+    patterns = []
+    for count in (2, 3, 4):
+        for first in range(4):
+            block = np.zeros(4)
+            block[[(first + i) % 4 for i in range(count)]] = 5.0
+            patterns.append(block.reshape(2, 2))
+    ties = np.zeros((1, 2, 2 * len(patterns) + 1, 1))
+    for b, block in enumerate(patterns):
+        ties[0, :, 2 * b : 2 * b + 2, 0] = block
+    inputs["equal_maxima"] = ties
+    return inputs
+
+
+@pytest.mark.parametrize("name,data", sorted(_tie_heavy_inputs().items()))
+def test_max_pool_matches_argmax_reference(name, data):
+    _assert_same(max_pool, reference_max_pool, [data], seed=len(name))
+
+
+def test_max_pool_after_relu_matches_reference():
+    rng = np.random.default_rng(5)
+    data = rng.normal(size=(3, 7, 7, 4))
+    _assert_same(lambda x: max_pool(relu(x)), lambda x: reference_max_pool(relu(x)), [data])
+
+
+BN_SHAPES = [(4, 7, 7, 3), (5, 6), (3, 10, 2), (2, 1, 1, 4)]
+
+
+def _batch_norm(shape, seed, running=False):
+    rng = np.random.default_rng(seed)
+    bn = BatchNorm(shape[-1])
+    bn.gain.data[...] = rng.normal(size=shape[-1])
+    bn.bias.data[...] = rng.normal(size=shape[-1])
+    if running:
+        bn._buffers["running_mean"][...] = rng.normal(size=shape[-1])
+        bn._buffers["running_var"][...] = rng.uniform(0.5, 2.0, size=shape[-1])
+    return bn, rng.normal(loc=0.7, scale=1.9, size=shape)
+
+
+@pytest.mark.parametrize("shape", BN_SHAPES)
+def test_batch_norm_train_matches_reference(shape):
+    bn, x = _batch_norm(shape, seed=len(shape))
+    ref, _ = _batch_norm(shape, seed=len(shape))
+
+    def fast(x_leaf, gain, bias):
+        bn.gain, bn.bias = gain, bias
+        return bn(x_leaf, training=True)
+
+    def slow(x_leaf, gain, bias):
+        ref.gain, ref.bias = gain, bias
+        return reference_batch_norm_train(ref, x_leaf)
+
+    _assert_same(fast, slow, [x, bn.gain.data, bn.bias.data])
+    for name in ("running_mean", "running_var"):
+        assert np.array_equal(bn._buffers[name], ref._buffers[name])
+
+
+@pytest.mark.parametrize("shape", BN_SHAPES)
+@pytest.mark.parametrize("flags", [[True, True, True], [True, False, False], [False, True, True], [False, False, False]])
+def test_batch_norm_eval_matches_reference(shape, flags):
+    bn, x = _batch_norm(shape, seed=7 + len(shape), running=True)
+
+    def fast(x_leaf, gain, bias):
+        bn.gain, bn.bias = gain, bias
+        return bn(x_leaf, training=False)
+
+    def slow(x_leaf, gain, bias):
+        bn.gain, bn.bias = gain, bias
+        return reference_batch_norm_eval(bn, x_leaf)
+
+    _assert_same(fast, slow, [x, bn.gain.data.copy(), bn.bias.data.copy()], flags=flags)

@@ -108,6 +108,57 @@ def test_backward_needs_scalar():
         (x * 2.0).backward()
 
 
+
+def _graph_nodes(root):
+    nodes, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
+@pytest.mark.parametrize("a_first", [True, False])
+def test_shared_gradient_arrays_are_not_written_after_use(a_first):
+    # y = a + b hands one gradient array to both a and b without a copy; a is
+    # used again downstream, so a's second contribution must not reach b.grad,
+    # and no node's gradient may change once its own backward has run.
+    rng = np.random.default_rng(8)
+    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = rng.normal(size=(3, 4))
+    y = a + b
+    terms = [y * Tensor(w), a * a] if a_first else [a * a, y * Tensor(w)]
+    loss = (terms[0] + terms[1]).sum()
+
+    seen = []
+    for node in _graph_nodes(loss):
+        if node._backward is not None:
+
+            def recorded(grad, node=node, inner=node._backward):
+                seen.append((node, grad.copy()))
+                inner(grad)
+
+            node._backward = recorded
+    loss.backward()
+
+    assert len(seen) == 5  # sum, the two adds and the two products
+    for node, grad_at_backward in seen:
+        assert np.array_equal(node.grad, grad_at_backward)
+    assert np.array_equal(y.grad, w)
+    assert np.array_equal(b.grad, w)
+    assert np.shares_memory(b.grad, y.grad)  # the copy-free hand-off
+    np.testing.assert_allclose(a.grad, w + 2.0 * a.data, rtol=1e-15)
+
+
+def test_first_gradient_is_broadcast_to_shape():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    x._accumulate(np.arange(3.0))
+    x._accumulate(np.ones((2, 3)))
+    assert np.array_equal(x.grad, np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]))
+
+
 class TestCceLoss:
     def test_certain_prediction_has_zero_loss(self):
         probs = Tensor(np.array([0.0, 1.0, 0.0]))
