@@ -207,6 +207,11 @@ def _targets(feat: SessionFeatures) -> range:
     return range(WINDOW_MINUTES - 1, feat.n_minutes)
 
 
+def _check_instances(n_instances: int) -> None:
+    if not 1 <= n_instances <= WINDOW_MINUTES:
+        raise ValueError(f"n_instances must lie in [1, {WINDOW_MINUTES}]")
+
+
 def build_bags(
     features: list[SessionFeatures],
     placement: str | None = None,
@@ -221,8 +226,7 @@ def build_bags(
     number of successive one-minute acceleration windows per bag (at most the
     12-minute history).
     """
-    if not 1 <= n_instances <= WINDOW_MINUTES:
-        raise ValueError(f"n_instances must lie in [1, {WINDOW_MINUTES}]")
+    _check_instances(n_instances)
     refs: list[BagRef] = []
     for s, feat in enumerate(features):
         rows = range(len(feat.placements)) if placement is None else [feat.placements.index(placement)]
@@ -266,6 +270,7 @@ def mixed_streams(
     n_streams: int,
     rng: np.random.Generator,
     dwell_mean: float = 10.0,
+    n_instances: int = N_ACCEL_INSTANCES,
 ) -> BagDataset:
     """Bags over virtual streams that hop between placements.
 
@@ -275,6 +280,7 @@ def mixed_streams(
     reproducible from the rng. Every window stays traceable to exactly one
     source placement through the bag's placement rows.
     """
+    _check_instances(n_instances)
     refs: list[BagRef] = []
     for s, feat in enumerate(features):
         n_placements = len(feat.placements)
@@ -289,7 +295,7 @@ def mixed_streams(
             for m in _targets(feat):
                 if feat.labels[m] == UNLABELED:
                     continue
-                rows = tuple(int(choice[m - (N_ACCEL_INSTANCES - 1 - k)]) for k in range(N_ACCEL_INSTANCES))
+                rows = tuple(int(choice[m - (n_instances - 1 - k)]) for k in range(n_instances))
                 refs.append(
                     BagRef(session=s, placement_rows=rows, target=m, label=int(feat.labels[m]), stream=v)
                 )

@@ -21,7 +21,7 @@ import numpy as np
 from . import MODES, __version__
 from .bags import build_bags, load_features, load_sessions, preprocess_session, save_features, save_sessions
 from .experiments import attention_report, dev_label_sequences, smooth_test_predictions
-from .hmm import estimate_transitions, load_transitions, save_transitions, viterbi
+from .hmm import estimate_transitions, load_transitions, save_transitions, viterbi_streams
 from .metrics import classification_metrics, roc_curve
 from .model import TransportModeClassifier
 from .nn import load_arrays, save_arrays
@@ -102,7 +102,7 @@ def _cmd_train(args, argv) -> int:
         model, histories = run_pretraining(config, features, fold)
         history = histories["fused"]
     else:
-        dataset = build_bags(features, placement=args.placement)
+        dataset = build_bags(features, placement=args.placement, n_instances=config.n_accel_instances)
         train_idx, val_idx, _ = split_bags(dataset, fold)
         model, history = run_training(config, dataset, train_idx, val_idx)
 
@@ -160,7 +160,7 @@ def _cmd_evaluate(args, argv) -> int:
     folds = loso_folds(features, seed=config.seed)
     users = [f.test_user for f in folds]
     fold = folds[users.index(meta["test_user"])]
-    dataset = build_bags(features, placement=meta.get("placement"))
+    dataset = build_bags(features, placement=meta.get("placement"), n_instances=config.n_accel_instances)
     _, _, test_idx = split_bags(dataset, fold)
     probs, labels = predict_dataset(model, dataset, test_idx)
     raw = probs.argmax(axis=1)
@@ -197,13 +197,7 @@ def _cmd_smooth(args, argv) -> int:
     if meta.get("kind") != "predictions":
         raise ValueError(f"{args.predictions}: not a predictions file")
     transitions, _ = load_transitions(args.transitions)
-    probs = arrays["probs"]
-    smoothed = np.empty(len(probs), dtype=np.int64)
-    keys = list(zip(arrays["session"], arrays["stream"]))
-    for key in sorted(set(keys)):
-        positions = [i for i, k in enumerate(keys) if k == key]
-        positions.sort(key=lambda i: arrays["target"][i])
-        smoothed[positions] = viterbi(probs[positions], transitions)
+    smoothed = viterbi_streams(arrays["probs"], arrays["session"], arrays["stream"], arrays["target"], transitions)
     save_arrays(Path(args.out), {**arrays, "smoothed": smoothed}, meta=meta)
     if "labels" in arrays:
         metrics = classification_metrics(arrays["labels"], smoothed)
@@ -233,7 +227,7 @@ def _cmd_report(args, argv) -> int:
         features = load_features(args.features)
         model, model_meta = _load_model(args.model)
         if model.uses_attention:
-            dataset = build_bags(features, placement=model_meta.get("placement"))
+            dataset = build_bags(features, placement=model_meta.get("placement"), n_instances=model.n_accel_instances)
             folds = loso_folds(features, seed=model_meta["config"]["seed"])
             fold = folds[[f.test_user for f in folds].index(model_meta["test_user"])]
             _, _, test_idx = split_bags(dataset, fold)

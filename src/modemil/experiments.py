@@ -9,7 +9,7 @@ import numpy as np
 
 from . import MODES, N_MODES, PLACEMENTS
 from .bags import BagDataset, SessionFeatures, UNLABELED, build_bags, mixed_streams
-from .hmm import estimate_transitions, viterbi
+from .hmm import estimate_transitions, viterbi_streams
 from .metrics import ClassificationMetrics, classification_metrics, roc_curve
 from .model import TransportModeClassifier
 from .splits import SplitSpec, loso_folds, split_bags
@@ -53,17 +53,10 @@ def smooth_test_predictions(
     target minute; sessions never share a decode, so smoothing one session
     cannot influence another.
     """
-    smoothed = np.empty(len(indices), dtype=np.int64)
-    groups: dict[tuple, list[tuple[int, int]]] = {}
-    for pos, i in enumerate(indices):
-        ref = dataset.refs[i]
-        groups.setdefault((ref.session, ref.stream), []).append((ref.target, pos))
-    for members in groups.values():
-        members.sort()
-        positions = [pos for _, pos in members]
-        path = viterbi(probs[positions], transitions)
-        smoothed[positions] = path
-    return smoothed
+    refs = [dataset.refs[i] for i in indices]
+    return viterbi_streams(
+        probs, [r.session for r in refs], [r.stream for r in refs], [r.target for r in refs], transitions
+    )
 
 
 @dataclass
@@ -173,6 +166,7 @@ def run_experiment(
     if config.pretrain != "none" and kind != "all-placements":
         raise ValueError("encoder pre-training follows the all-placements protocol")
     report = EvalReport(kind=kind, config=config, n_runs=n_runs)
+    n_inst = config.n_accel_instances
 
     def record(fold, run, placement, model, dataset, idx, transitions, history):
         pre, post, probs, labels = evaluate_split(model, dataset, idx, transitions)
@@ -188,12 +182,12 @@ def run_experiment(
             run_config = replace(config, seed=run_seed)
             if kind == "per-placement":
                 for placement in features[0].placements:
-                    dataset = build_bags(features, placement=placement)
+                    dataset = build_bags(features, placement=placement, n_instances=n_inst)
                     model, history = _train_for_fold(run_config, features, fold, dataset)
                     _, _, test_idx = split_bags(dataset, fold)
                     record(fold, run, placement, model, dataset, test_idx, transitions, history)
             elif kind == "all-placements":
-                dataset = build_bags(features, placement=None)
+                dataset = build_bags(features, placement=None, n_instances=n_inst)
                 model, history = _train_for_fold(run_config, features, fold, dataset)
                 _, _, test_idx = split_bags(dataset, fold)
                 for placement, idx in sorted(_test_indices_by_placement(dataset, test_idx).items()):
@@ -201,10 +195,10 @@ def run_experiment(
             else:
                 n_streams = 1 if kind == "mixed-one" else 4
                 mix_rng = np.random.default_rng(run_seed + 17)
-                dataset = mixed_streams(features, n_streams=n_streams, rng=mix_rng)
+                dataset = mixed_streams(features, n_streams, mix_rng, n_instances=n_inst)
                 train_idx, val_idx, _ = split_bags(dataset, fold)
                 model, history = run_training(run_config, dataset, train_idx, val_idx)
-                test_set = mixed_streams(features, n_streams=1, rng=np.random.default_rng(run_seed + 31))
+                test_set = mixed_streams(features, 1, np.random.default_rng(run_seed + 31), n_instances=n_inst)
                 _, _, test_idx = split_bags(test_set, fold)
                 record(fold, run, "mixed", model, test_set, test_idx, transitions, history)
                 if collect_attention and run == 0:

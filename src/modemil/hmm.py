@@ -19,6 +19,7 @@ from . import MODES, N_MODES
 __all__ = [
     "estimate_transitions",
     "viterbi",
+    "viterbi_streams",
     "save_transitions",
     "load_transitions",
 ]
@@ -79,6 +80,18 @@ def viterbi(emissions: np.ndarray, transitions: np.ndarray, start: np.ndarray | 
     for t in range(steps - 1, 0, -1):
         path[t - 1] = back[t, path[t]]
     return path
+
+
+def viterbi_streams(probs, sessions, streams, targets, transitions: np.ndarray) -> np.ndarray:
+    """Decode each (session, stream) group of rows in target order, aligned with the
+    rows. The grouping sort is stable: rows with equal targets keep their order."""
+    order = np.lexsort((targets, streams, sessions))
+    keys = np.column_stack((sessions, streams))[order]
+    starts = np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1
+    smoothed = np.empty(len(order), dtype=np.int64)
+    for group in np.split(order, starts) if len(order) else []:
+        smoothed[group] = viterbi(probs[group], transitions)
+    return smoothed
 
 
 def save_transitions(path, transitions: np.ndarray, modes: tuple[str, ...] = MODES) -> None:

@@ -58,9 +58,12 @@ class AccelEncoder(Module):
     """Spectrogram encoder: input norm, three conv blocks, two dense blocks.
 
     Each conv block is a same-padded 3x3 convolution (16/32/64 filters),
-    batch normalization, ReLU and 2x2 max pooling, shrinking 51 -> 25 -> 12
-    -> 6. The flattened 6*6*64 map passes a 128-wide bottleneck block and a
-    256-wide block, both with dropout in front.
+    batch normalization, 2x2 max pooling and ReLU, shrinking 51 -> 25 -> 12
+    -> 6. That is conv -> BN -> ReLU -> pool with ReLU on a quarter of the
+    elements: max commutes with ``max(x, 0)``, and the gradient routed to a
+    block's first maximum is zeroed exactly when that maximum is <= 0. The
+    flattened 6*6*64 map passes a 128-wide bottleneck block and a 256-wide
+    block, both with dropout in front.
     """
 
     def __init__(self, rng: np.random.Generator, dropout_rate: float = 0.3):
@@ -84,9 +87,9 @@ class AccelEncoder(Module):
             raise ValueError(f"expected (batch, {SPEC_SHAPE}) input, got {x.shape}")
         training = training and not self._frozen
         h = self.input_norm(x, training)
-        h = max_pool(relu(self.norm1(self.conv1(h), training)))
-        h = max_pool(relu(self.norm2(self.conv2(h), training)))
-        h = max_pool(relu(self.norm3(self.conv3(h), training)))
+        h = relu(max_pool(self.norm1(self.conv1(h), training)))
+        h = relu(max_pool(self.norm2(self.conv2(h), training)))
+        h = relu(max_pool(self.norm3(self.conv3(h), training)))
         h = reshape(h, (x.shape[0], 6 * 6 * 64))
         h = relu(self.fc_norm1(self.fc1(self.drop1(h, training, rng)), training))
         h = relu(self.fc_norm2(self.fc2(self.drop2(h, training, rng)), training))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import tensor
 from .tensor import Tensor, concat, make_node, sigmoid, tanh
 
 __all__ = [
@@ -28,6 +29,9 @@ __all__ = [
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
+
+
+CONV_BLOCK = 16  # images per im2col gemm in conv2d; bounds the column buffer
 
 
 class Module:
@@ -142,6 +146,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 
     ``x`` is (batch, H, W, c_in), ``kernel`` is (k, k, c_in, c_out) with odd k,
     ``bias`` is (c_out,). Output spatial size equals input spatial size.
+    The im2col gemm runs ``CONV_BLOCK`` images at a time.
     """
     batch, height, width, c_in = x.shape
     k_h, k_w, kc_in, c_out = kernel.shape
@@ -153,17 +158,26 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ValueError("spatial extent smaller than the kernel")
     pad = k_h // 2
     padded = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    # im2col in one copy of the (batch, H, W, c_in, k, k) windows, in the kernel's (k, k, c_in) order
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (k_h, k_w), axis=(1, 2))
-    cols_flat = windows.transpose(0, 1, 2, 4, 5, 3).reshape(batch * height * width, k_h * k_w * c_in)
-    out_flat = cols_flat @ kernel.data.reshape(k_h * k_w * c_in, c_out)
-    out_flat += bias.data
+    # im2col: each pixel's (k, k) window of all channels, in the kernel's (k, k, c_in) order
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k_h, k_w), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+    rows, taps = height * width, k_h * k_w * c_in
+    k_flat = kernel.data.reshape(taps, c_out)
+    keep_cols = tensor._grad_enabled and kernel.requires_grad  # the flag make_node reads
+    cols = np.empty((batch if keep_cols else min(batch, CONV_BLOCK), height, width, k_h, k_w, c_in))
+    out_flat = np.empty((batch * rows, c_out))
+    for lo in range(0, batch, CONV_BLOCK):  # a gemm split by rows sums each output alike (tested)
+        hi = min(lo + CONV_BLOCK, batch)
+        block = cols[lo:hi] if keep_cols else cols[: hi - lo]
+        block[...] = windows[lo:hi]
+        out_block = out_flat[lo * rows : hi * rows]
+        np.matmul(block.reshape(-1, taps), k_flat, out=out_block)
+        out_block += bias.data
     out_data = out_flat.reshape(batch, height, width, c_out)
 
     def backward(grad):
         grad_flat = grad.reshape(batch * height * width, c_out)
         if kernel.requires_grad:
-            kernel._accumulate((cols_flat.T @ grad_flat).reshape(kernel.shape))
+            kernel._accumulate((cols.reshape(-1, taps).T @ grad_flat).reshape(kernel.shape))
         if bias.requires_grad:
             bias._accumulate(grad_flat.sum(axis=0))
         if x.requires_grad:
@@ -253,23 +267,31 @@ class BatchNorm(Module):
             if x.shape[0] < 2:
                 raise ValueError("batch normalization needs a batch size >= 2 in training mode")
             return self._train_forward(x)
-        mean = self._buffers["running_mean"]
-        inv = 1.0 / np.sqrt(self._buffers["running_var"] + self.eps)
-        out_data = x.data - mean  # ((x - mean) * inv) * gain + bias, in one buffer
+        wide, tile = self._wide(x.data)
+        mean = tile(self._buffers["running_mean"])
+        inv = tile(1.0 / np.sqrt(self._buffers["running_var"] + self.eps))
+        out_data = wide - mean  # ((x - mean) * inv) * gain + bias, in one buffer
         out_data *= inv
-        out_data *= self.gain.data
-        out_data += self.bias.data
+        out_data *= tile(self.gain.data)
+        out_data += tile(self.bias.data)
         gain, bias = self.gain, self.bias
 
         def backward(grad):
+            grad_wide = grad.reshape(wide.shape)
             if bias.requires_grad:
                 bias._accumulate(grad.reshape(-1, self.n_channels).sum(axis=0))
             if gain.requires_grad:
-                gain._accumulate((grad * ((x.data - mean) * inv)).reshape(-1, self.n_channels).sum(axis=0))
+                gain._accumulate((grad_wide * ((wide - mean) * inv)).reshape(-1, self.n_channels).sum(axis=0))
             if x.requires_grad:
-                x._accumulate(grad * gain.data * inv)
+                x._accumulate((grad_wide * tile(gain.data) * inv).reshape(x.shape))
 
-        return make_node(out_data, (x, gain, bias), backward)
+        return make_node(out_data.reshape(x.shape), (x, gain, bias), backward)
+
+    def _wide(self, data: np.ndarray):
+        """``data`` as (rows, W*C), W its width (1 if 2-D), and a function tiling per-channel
+        constants W times: the (N, C) arithmetic without an inner loop of C elements."""
+        width = data.shape[-2] if data.ndim > 2 else 1
+        return data.reshape(-1, width * self.n_channels), lambda c: np.tile(c, width)
 
     def _train_forward(self, x: Tensor) -> Tensor:
         flat = x.data.reshape(-1, self.n_channels)
@@ -278,8 +300,9 @@ class BatchNorm(Module):
         var = np.maximum((flat * flat).mean(axis=0) - mean * mean, 0.0)
         inv = 1.0 / np.sqrt(var + self.eps)
         scale = self.gain.data * inv
-        out_data = x.data * scale
-        out_data += self.bias.data - scale * mean
+        wide, tile = self._wide(x.data)
+        out_data = wide * tile(scale)
+        out_data += tile(self.bias.data - scale * mean)
         keep = self.momentum
         self._buffers["running_mean"] = keep * self._buffers["running_mean"] + (1.0 - keep) * mean
         self._buffers["running_var"] = keep * self._buffers["running_var"] + (1.0 - keep) * var
@@ -287,8 +310,9 @@ class BatchNorm(Module):
 
         def backward(grad):
             grad_flat = grad.reshape(flat.shape)
+            grad_wide = grad.reshape(wide.shape)
             grad_sum = grad_flat.sum(axis=0)
-            grad_gain = inv * ((grad_flat * flat).sum(axis=0) - mean * grad_sum)
+            grad_gain = inv * ((grad_wide * wide).reshape(flat.shape).sum(axis=0) - mean * grad_sum)
             if bias.requires_grad:
                 bias._accumulate(grad_sum)
             if gain.requires_grad:
@@ -299,12 +323,12 @@ class BatchNorm(Module):
                 a_coef = gain.data * inv
                 b_coef = -a_coef * inv * grad_gain / count
                 c_coef = -a_coef * grad_sum / count - b_coef * mean
-                dx = grad * a_coef
-                dx += x.data * b_coef
-                dx += c_coef
-                x._accumulate(dx)
+                dx = grad_wide * tile(a_coef)
+                dx += wide * tile(b_coef)
+                dx += tile(c_coef)
+                x._accumulate(dx.reshape(x.shape))
 
-        return make_node(out_data, (x, gain, bias), backward)
+        return make_node(out_data.reshape(x.shape), (x, gain, bias), backward)
 
 
 class Dropout(Module):

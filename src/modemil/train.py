@@ -229,7 +229,7 @@ def run_pretraining(
         acc_model, histories["accel"] = run_training(stage_cfg, windows, tr, va)
         encoder_states["accel_encoder"] = acc_model.accel_encoder.state_dict()
     if config.pretrain in ("loc", "both"):
-        bags = build_bags(features, placement=features[0].placements[0])
+        bags = build_bags(features, placement=features[0].placements[0], n_instances=config.n_accel_instances)
         tr, va, _ = split_bags(bags, fold)
         stage_cfg = _stage_config(config, arch="loc_lstm")
         loc_model, histories["loc"] = run_training(stage_cfg, bags, tr, va)
@@ -248,7 +248,7 @@ def run_pretraining(
             encoder.freeze()
     # One bag per target minute; each epoch redraws which placement's
     # acceleration stream fills it (validation keeps the fixed placement).
-    bags = build_bags(features, placement=features[0].placements[0])
+    bags = build_bags(features, placement=features[0].placements[0], n_instances=config.n_accel_instances)
     tr, va, _ = split_bags(bags, fold)
     stage2_cfg = _stage_config(config, arch=config.arch, resample_placement=True)
     model, histories["fused"] = run_training(stage2_cfg, bags, tr, va, model=model)

@@ -85,6 +85,20 @@ def test_checkpoint_round_trip_keeps_model_config(pipeline):
     assert np.array_equal(probs, expected)
 
 
+def test_four_instance_model_trains_evaluates_and_reports(pipeline):
+    # Bags are built with the configured window count, not the default 3.
+    train_cfg = {"lr": 1e-3, "max_epochs": 1, "seed": 2, "augment": False, "n_accel_instances": 4}
+    (pipeline / "train_four.json").write_text(json.dumps(train_cfg))
+    features = ["--features", str(pipeline / "features.npz")]
+    run = pipeline / "run_four"
+    assert main(["train", *features, "--config", str(pipeline / "train_four.json"), "--out", str(run)]) == 0
+    model = str(run / "checkpoint.npz")
+    assert main(["evaluate", *features, "--model", model]) == 0
+    assert json.loads((run / "metrics.json").read_text())["hmm"]["accuracy"] >= 0.0
+    assert main(["report", "--run", str(run), *features, "--model", model]) == 0
+    assert (run / "report" / "attention.json").exists()
+
+
 def test_evaluate_with_and_without_hmm(pipeline, capsys):
     run = pipeline / "run"
     args = ["evaluate", "--features", str(pipeline / "features.npz"), "--model", str(run / "checkpoint.npz")]

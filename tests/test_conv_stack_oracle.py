@@ -5,13 +5,19 @@ The references below are the earlier, simpler forms of ``conv2d``,
 tap, max-pooling by argmax over a copied 4-wide block axis, and eval-mode
 batch norm as a chain of tensor ops. The fast versions in ``modemil.nn`` must
 match them bit for bit, forward and backward, so equality here is exact
-(``np.array_equal``), not approximate.
+(``np.array_equal``, or equal bytes where a test says so), not approximate.
+``conv2d`` runs its gemm ``CONV_BLOCK`` images at a time, so its tests also
+cover batches on either side of a block boundary at the encoder's shapes.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from modemil.nn import BatchNorm, Tensor, conv2d, make_node, max_pool
+from modemil.model import TransportModeClassifier
+from modemil.nn import BatchNorm, Tensor, conv2d, make_node, max_pool, no_grad
+from modemil.nn.layers import CONV_BLOCK
 from modemil.nn.tensor import relu
 
 
@@ -128,16 +134,26 @@ def _run(op, arrays, grad_rng, flags=None):
     return out.data, [leaf.grad for leaf in leaves]
 
 
-def _assert_same(op, reference, arrays, seed=0, flags=None):
+def _assert_equal(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b, equal_nan=True)
+
+
+def _assert_same(op, reference, arrays, seed=0, flags=None, same=_assert_equal):
     out, grads = _run(op, arrays, np.random.default_rng(seed), flags)
     ref_out, ref_grads = _run(reference, arrays, np.random.default_rng(seed), flags)
-    assert np.array_equal(out, ref_out, equal_nan=True)
+    same(out, ref_out)
     for grad, ref_grad in zip(grads, ref_grads):
         if ref_grad is None:
             assert grad is None
         else:
-            assert grad.shape == ref_grad.shape
-            assert np.array_equal(grad, ref_grad, equal_nan=True)
+            same(grad, ref_grad)
+
+
+def _assert_bytes_equal(a, b):
+    """Equal shapes and equal bits: signed zeros and NaN payloads included."""
+    assert a.shape == b.shape
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
 CONV_SHAPES = [((2, 7, 7, 2), 3, 4), ((3, 5, 6, 3), 3, 2), ((1, 9, 7, 1), 5, 3), ((2, 4, 4, 2), 1, 2)]
@@ -155,6 +171,54 @@ def test_conv2d_matches_reference_with_frozen_operands():
     arrays = [rng.normal(size=(2, 7, 7, 2)), rng.normal(size=(3, 3, 2, 4)), rng.normal(size=4)]
     for flags in ([True, False, False], [False, True, True], [False, False, False]):
         _assert_same(conv2d, reference_conv2d, arrays, flags=flags)
+
+
+# The encoder's three conv shapes: (H, W, c_in, c_out).
+ENCODER_CONVS = [(51, 51, 2, 16), (25, 25, 16, 32), (12, 12, 32, 64)]
+CONV_FLAGS = {"trainable": [True, True, True], "frozen_kernel": [True, False, True]}
+
+
+@pytest.mark.parametrize("batch", [1, CONV_BLOCK - 1, CONV_BLOCK, CONV_BLOCK + 1, 40])
+@pytest.mark.parametrize("case", ["trainable", "frozen_kernel", "no_grad"])
+@pytest.mark.parametrize("conv", ENCODER_CONVS, ids=["conv1", "conv2", "conv3"])
+def test_blocked_conv2d_matches_one_gemm_reference(batch, case, conv):
+    # conv2d runs its gemm CONV_BLOCK images at a time; the reference runs one
+    # gemm over the whole batch. Equal bits here mean the BLAS computes each
+    # output row the same way whatever the number of rows in the call.
+    height, width, c_in, c_out = conv
+    rng = np.random.default_rng(batch * 100 + c_in)
+    shapes = [(batch, height, width, c_in), (3, 3, c_in, c_out), (c_out,)]
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    if case == "no_grad":
+        with no_grad():
+            out = conv2d(*[_leaf(a) for a in arrays])
+        assert not out.requires_grad
+        _assert_bytes_equal(out.data, reference_conv2d(*[_leaf(a, False) for a in arrays]).data)
+    else:
+        _assert_same(conv2d, reference_conv2d, arrays, seed=batch, flags=CONV_FLAGS[case], same=_assert_bytes_equal)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_inference_conv2d_needs_no_batch_sized_column_matrix(frozen):
+    # A frozen kernel or no_grad needs no kernel gradient, so conv2d keeps only
+    # one CONV_BLOCK-image column buffer; a batch-sized one would be 46 MB here.
+    batch, height, width, c_in, c_out = 64, 25, 25, 16, 32
+    rng = np.random.default_rng(0)
+    x = _leaf(rng.normal(size=(batch, height, width, c_in)), requires_grad=frozen)
+    kernel, bias = _leaf(rng.normal(size=(3, 3, c_in, c_out)), False), _leaf(rng.normal(size=c_out), False)
+    batch_cols = batch * height * width * 9 * c_in * 8
+    tracemalloc.start()
+    try:
+        if frozen:
+            out = conv2d(x, kernel, bias)
+        else:
+            with no_grad():
+                out = conv2d(x, kernel, bias)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad == frozen
+    assert peak < batch_cols
 
 
 def _tie_heavy_inputs():
@@ -189,13 +253,41 @@ def test_max_pool_matches_argmax_reference(name, data):
     _assert_same(max_pool, reference_max_pool, [data], seed=len(name))
 
 
+def _relu_pool_inputs():
+    rng = np.random.default_rng(13)
+    mixed = rng.normal(size=(2, 7, 9, 3))
+    mixed[0, :2, :2] = -np.abs(mixed[0, :2, :2])  # all-negative blocks
+    return {
+        "normal_odd_7x9": mixed,
+        "all_negative": -np.abs(rng.normal(size=(2, 5, 5, 2))) - 0.1,
+        "signed_zeros": rng.choice([0.0, -0.0], size=(2, 6, 6, 2)),
+        "zeros_and_negatives": rng.choice([0.0, -0.0, -1.0], size=(2, 7, 7, 2)),
+        "equal_positive_maxima": rng.choice([2.0, 1.0, -1.0], size=(3, 6, 7, 2)),
+        "nans": np.where(rng.random((2, 7, 6, 2)) < 0.2, np.nan, rng.normal(size=(2, 7, 6, 2))),
+    }
+
+
+@pytest.mark.parametrize("name,data", sorted(_relu_pool_inputs().items()))
+def test_relu_after_max_pool_is_max_pool_after_relu(name, data):
+    # The encoder pools before the ReLU. The forward is bit for bit that of
+    # the conventional ReLU-then-pool order. So is the input gradient, but for
+    # the sign of zeros: in a block whose maximum is <= 0, the zeroed gradient
+    # (upstream * 0, which is -0.0 for a negative upstream) lands on the first
+    # raw maximum instead of the block's first element. Adding +0.0 maps -0.0
+    # to +0.0 and leaves every other value, NaN included, as it is.
+    out, (grad,) = _run(lambda x: relu(max_pool(x)), [data], np.random.default_rng(len(name)))
+    ref_out, (ref_grad,) = _run(lambda x: max_pool(relu(x)), [data], np.random.default_rng(len(name)))
+    _assert_bytes_equal(out, ref_out)
+    _assert_bytes_equal(grad + 0.0, ref_grad + 0.0)
+
+
 def test_max_pool_after_relu_matches_reference():
     rng = np.random.default_rng(5)
     data = rng.normal(size=(3, 7, 7, 4))
     _assert_same(lambda x: max_pool(relu(x)), lambda x: reference_max_pool(relu(x)), [data])
 
 
-BN_SHAPES = [(4, 7, 7, 3), (5, 6), (3, 10, 2), (2, 1, 1, 4)]
+BN_SHAPES = [(4, 7, 7, 3), (5, 6), (3, 10, 2), (2, 1, 1, 4), (6, 51, 51, 2), (3, 12, 12, 64)]
 
 
 def _batch_norm(shape, seed, running=False):
@@ -241,3 +333,23 @@ def test_batch_norm_eval_matches_reference(shape, flags):
         return reference_batch_norm_eval(bn, x_leaf)
 
     _assert_same(fast, slow, [x, bn.gain.data.copy(), bn.bias.data.copy()], flags=flags)
+
+
+def test_predictions_do_not_depend_on_how_bags_are_chunked():
+    # Eval mode is per-bag, so 40 bags predicted at once and in chunks of 16
+    # or 17 (across conv2d's image blocks) agree bit for bit. One bag at a
+    # time agrees to rounding only: a gemm of 1 row (the head) or of 3 rows
+    # (fc1, 2304 deep) takes another summation order in OpenBLAS 0.3.31.
+    rng = np.random.default_rng(4)
+    model = TransportModeClassifier("fusion_mil", 3, 0, 0.3)
+    acc = rng.normal(size=(40, 3, 51, 51, 2))
+    loc_seq, loc_scalars = rng.normal(size=(40, 10, 2)), rng.normal(size=(40, 5))
+
+    def predict(step):
+        parts = [slice(i, i + step) for i in range(0, 40, step)]
+        return np.concatenate([model.predict(acc[p], loc_seq[p], loc_scalars[p]).probs.data for p in parts])
+
+    whole = predict(40)
+    _assert_bytes_equal(predict(16), whole)
+    _assert_bytes_equal(predict(17), whole)
+    np.testing.assert_allclose(predict(1), whole, rtol=1e-14, atol=0)

@@ -201,6 +201,17 @@ class TestMixedStreams:
         names = {n for ref in mixed.refs for n in mixed.placement_names(ref)}
         assert names <= {"Hips", "Torso"}
 
+    def test_instance_count_takes_the_most_recent_minutes(self):
+        sessions = synth_generate(small_config(), np.random.default_rng(17))
+        feats = [preprocess_session(s) for s in sessions]
+        three = mixed_streams(feats, n_streams=2, rng=np.random.default_rng(6))
+        five = mixed_streams(feats, n_streams=2, rng=np.random.default_rng(6), n_instances=5)
+        assert five.n_instances == 5 and len(five) == len(three)
+        for ref3, ref5 in zip(three.refs, five.refs):
+            assert ref5.placement_rows[-3:] == ref3.placement_rows
+        with pytest.raises(ValueError):
+            mixed_streams(feats, n_streams=1, rng=np.random.default_rng(6), n_instances=13)
+
     def test_placement_frequency_is_uniform(self):
         cfg = small_config(placements=("Bag", "Hand", "Hips", "Torso"), minutes_per_session=400, n_users=1)
         sessions = synth_generate(cfg, np.random.default_rng(16))

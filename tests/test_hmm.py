@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from modemil.hmm import estimate_transitions, load_transitions, save_transitions, viterbi
+from modemil.hmm import estimate_transitions, load_transitions, save_transitions, viterbi, viterbi_streams
 
 
 def brute_force_path(emissions, transitions, start):
@@ -133,3 +133,34 @@ def test_transition_matrix_text_round_trip(tmp_path):
     loaded, modes = load_transitions(path)
     np.testing.assert_allclose(loaded, matrix, atol=1e-15)
     assert modes == ("still", "walk", "run", "bike", "car", "bus", "train", "subway")
+
+
+def per_key_streams(probs, sessions, streams, targets, transitions):
+    """Reference grouping: scan every row for each (session, stream) key."""
+    smoothed = np.empty(len(probs), dtype=np.int64)
+    keys = list(zip(sessions, streams))
+    for key in sorted(set(keys)):
+        positions = [i for i, k in enumerate(keys) if k == key]
+        positions.sort(key=lambda i: targets[i])
+        smoothed[positions] = viterbi(probs[positions], transitions)
+    return smoothed
+
+
+def test_viterbi_streams_matches_per_key_loop_on_shuffled_rows():
+    rng = np.random.default_rng(8)
+    transitions = rng.dirichlet(np.ones(8) * 0.3, size=8)
+    sessions, streams, targets = [], [], []
+    for session in range(3):
+        for stream in range(3):
+            n = int(rng.integers(1, 40))
+            sessions += [session] * n
+            streams += [stream] * n
+            # Duplicate targets: row order decides which is decoded first.
+            targets += list(rng.integers(0, n // 2 + 1, size=n))
+    sessions, streams, targets = np.array(sessions), np.array(streams), np.array(targets)
+    probs = rng.dirichlet(np.ones(8) * 0.5, size=len(sessions))
+    order = rng.permutation(len(sessions))
+    args = (probs[order], sessions[order], streams[order], targets[order], transitions)
+    assert len(np.unique(targets)) < len(targets)
+    np.testing.assert_array_equal(viterbi_streams(*args), per_key_streams(*args))
+    assert viterbi_streams(probs[:0], sessions[:0], streams[:0], targets[:0], transitions).shape == (0,)
