@@ -26,11 +26,8 @@ __all__ = [
     "BandTable",
     "band_table",
     "magnitude_jerk",
-    "window_starts",
     "spectrogram",
     "mask_augment",
-    "channel_stats",
-    "standardize",
 ]
 
 SAMPLE_RATE_HZ = 10.0
@@ -134,11 +131,6 @@ def magnitude_jerk(
     return np.stack([magnitude, jerk], axis=1)
 
 
-def window_starts(n_samples: int, window_samples: int = WINDOW_SAMPLES) -> np.ndarray:
-    """Start indices of the consecutive non-overlapping windows that fit."""
-    return np.arange(0, n_samples - window_samples + 1, window_samples)
-
-
 def _hann(n: int) -> np.ndarray:
     k = np.arange(n)
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * k / n)
@@ -201,14 +193,3 @@ def mask_augment(spec: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         out[:, :, ch][cell_mask] = fill
     return out
 
-
-def channel_stats(specs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean and standard deviation over a stack of spectrograms."""
-    specs = np.asarray(specs)
-    axes = tuple(range(specs.ndim - 1))
-    return specs.mean(axis=axes), specs.std(axis=axes)
-
-
-def standardize(spec: np.ndarray, stats: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    mean, std = stats
-    return (spec - mean) / np.maximum(std, 1e-12)

@@ -203,13 +203,31 @@ class BagDataset:
         return {"acc": acc, "loc_seq": loc_seq, "loc_scalars": loc_scalars, "labels": labels}
 
 
-def _targets(feat: SessionFeatures) -> range:
-    return range(WINDOW_MINUTES - 1, feat.n_minutes)
-
-
 def _check_instances(n_instances: int) -> None:
     if not 1 <= n_instances <= WINDOW_MINUTES:
         raise ValueError(f"n_instances must lie in [1, {WINDOW_MINUTES}]")
+
+
+def _stream_refs(s: int, feat: SessionFeatures, rows_per_minute, stream: int, n_instances: int, first_target: int):
+    """Refs of one stream, one per labeled target minute from ``first_target`` on.
+
+    ``rows_per_minute`` names the placement row that fills each minute; a bag
+    takes the rows of its ``n_instances`` most recent minutes, oldest first.
+    """
+    return [
+        BagRef(s, tuple(int(r) for r in rows_per_minute[m - n_instances + 1 : m + 1]), m, int(feat.labels[m]), stream)
+        for m in range(first_target, feat.n_minutes)
+        if feat.labels[m] != UNLABELED
+    ]
+
+
+def _placement_bags(features, placement, n_instances: int, first_target: int) -> BagDataset:
+    refs: list[BagRef] = []
+    for s, feat in enumerate(features):
+        rows = range(len(feat.placements)) if placement is None else [feat.placements.index(placement)]
+        for row in rows:
+            refs += _stream_refs(s, feat, [row] * feat.n_minutes, row, n_instances, first_target)
+    return BagDataset(features, refs)
 
 
 def build_bags(
@@ -227,23 +245,7 @@ def build_bags(
     12-minute history).
     """
     _check_instances(n_instances)
-    refs: list[BagRef] = []
-    for s, feat in enumerate(features):
-        rows = range(len(feat.placements)) if placement is None else [feat.placements.index(placement)]
-        for row in rows:
-            for m in _targets(feat):
-                if feat.labels[m] == UNLABELED:
-                    continue
-                refs.append(
-                    BagRef(
-                        session=s,
-                        placement_rows=(row,) * n_instances,
-                        target=m,
-                        label=int(feat.labels[m]),
-                        stream=row,
-                    )
-                )
-    return BagDataset(features, refs)
+    return _placement_bags(features, placement, n_instances, WINDOW_MINUTES - 1)
 
 
 def build_windows(features: list[SessionFeatures], placement: str | None = None) -> BagDataset:
@@ -252,17 +254,7 @@ def build_windows(features: list[SessionFeatures], placement: str | None = None)
     This is the acceleration-encoder pre-training corpus; no location history
     is needed, so every labeled minute of every placement qualifies.
     """
-    refs: list[BagRef] = []
-    for s, feat in enumerate(features):
-        rows = range(len(feat.placements)) if placement is None else [feat.placements.index(placement)]
-        for row in rows:
-            for m in range(feat.n_minutes):
-                if feat.labels[m] == UNLABELED:
-                    continue
-                refs.append(
-                    BagRef(session=s, placement_rows=(row,), target=m, label=int(feat.labels[m]), stream=row)
-                )
-    return BagDataset(features, refs)
+    return _placement_bags(features, placement, 1, 0)
 
 
 def mixed_streams(
@@ -292,13 +284,7 @@ def mixed_streams(
                 dwell = feat.n_minutes if not np.isfinite(dwell_mean) else int(rng.geometric(1.0 / dwell_mean))
                 choice[m : m + dwell] = row
                 m += dwell
-            for m in _targets(feat):
-                if feat.labels[m] == UNLABELED:
-                    continue
-                rows = tuple(int(choice[m - (n_instances - 1 - k)]) for k in range(n_instances))
-                refs.append(
-                    BagRef(session=s, placement_rows=rows, target=m, label=int(feat.labels[m]), stream=v)
-                )
+            refs += _stream_refs(s, feat, choice, v, n_instances, WINDOW_MINUTES - 1)
     return BagDataset(features, refs)
 
 

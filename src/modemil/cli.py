@@ -20,15 +20,15 @@ import numpy as np
 
 from . import MODES, __version__
 from .bags import build_bags, load_features, load_sessions, preprocess_session, save_features, save_sessions
-from .experiments import attention_report, dev_label_sequences, smooth_test_predictions
+from .experiments import attention_report, dev_label_sequences, roc_tables, smooth_test_predictions
 from .hmm import estimate_transitions, load_transitions, save_transitions, viterbi_streams
-from .metrics import classification_metrics, roc_curve
+from .metrics import classification_metrics
 from .model import TransportModeClassifier
 from .nn import load_arrays, save_arrays
 from .shl import ingest, ingest_report
 from .splits import loso_folds, split_bags
 from .synth import SynthConfig, synth_generate
-from .train import TrainConfig, predict_dataset, run_pretraining, run_training
+from .train import TrainConfig, build_model, predict_dataset, run_pretraining, run_training
 
 __all__ = ["main"]
 
@@ -44,6 +44,20 @@ def _write_manifest(out_dir: Path, command: str, argv: list[str], config: dict |
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
+
+
+class UnknownTestUser(ValueError):
+    """No leave-one-user-out fold holds out the requested user (exit code 2)."""
+
+
+def _fold(features, seed: int, test_user: str | None):
+    """The leave-one-user-out fold that holds out ``test_user`` (by default the first fold's)."""
+    folds = loso_folds(features, seed=seed)
+    users = [f.test_user for f in folds]
+    test_user = test_user or users[0]
+    if test_user not in users:
+        raise UnknownTestUser(f"unknown test user {test_user!r}; have {users}")
+    return folds[users.index(test_user)]
 
 
 def _load_train_config(path: str | None) -> TrainConfig:
@@ -90,13 +104,7 @@ def _cmd_train(args, argv) -> int:
     if args.seed is not None:
         config.seed = args.seed
     out_dir = Path(args.out)
-    folds = loso_folds(features, seed=config.seed)
-    users = [f.test_user for f in folds]
-    test_user = args.test_user or users[0]
-    if test_user not in users:
-        print(f"error: unknown test user {test_user!r}; have {users}", file=sys.stderr)
-        return 2
-    fold = folds[users.index(test_user)]
+    fold = _fold(features, config.seed, args.test_user)
 
     if config.pretrain != "none":
         model, histories = run_pretraining(config, features, fold)
@@ -114,7 +122,7 @@ def _cmd_train(args, argv) -> int:
             "kind": "model",
             "arch": model.arch,
             "seed": model.seed,
-            "test_user": test_user,
+            "test_user": fold.test_user,
             "placement": args.placement,
             "config": json.loads(config.to_json()),
         },
@@ -140,8 +148,7 @@ def _load_model(path) -> tuple[TransportModeClassifier, dict]:
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "model":
         raise ValueError(f"{path}: not a model checkpoint")
-    config = meta["config"]
-    model = TransportModeClassifier(meta["arch"], config["n_accel_instances"], meta["seed"], config["dropout"])
+    model = build_model(TrainConfig(**meta["config"]))
     model.load_state_dict(arrays)
     return model, meta
 
@@ -157,9 +164,7 @@ def _cmd_evaluate(args, argv) -> int:
     features = load_features(args.features)
     model, meta = _load_model(args.model)
     config = TrainConfig(**meta["config"])
-    folds = loso_folds(features, seed=config.seed)
-    users = [f.test_user for f in folds]
-    fold = folds[users.index(meta["test_user"])]
+    fold = _fold(features, config.seed, meta["test_user"])
     dataset = build_bags(features, placement=meta.get("placement"), n_instances=config.n_accel_instances)
     _, _, test_idx = split_bags(dataset, fold)
     probs, labels = predict_dataset(model, dataset, test_idx)
@@ -215,12 +220,8 @@ def _cmd_report(args, argv) -> int:
 
     header = " ".join(MODES)
     np.savetxt(out_dir / "confusion.txt", metrics.confusion, fmt="%d", header=header)
-    for c, mode in enumerate(MODES):
-        positive = labels == c
-        if positive.any() and not positive.all():
-            fpr, tpr, thr = roc_curve(positive, probs[:, c])
-            points = np.column_stack([fpr, tpr, thr])
-            np.savetxt(out_dir / f"roc_{mode}.txt", points, header="fpr tpr threshold")
+    for mode, points in roc_tables(probs, labels).items():
+        np.savetxt(out_dir / f"roc_{mode}.txt", points, header="fpr tpr threshold")
     lines = [_metric_block("no-hmm", metrics)]
 
     if args.features and args.model:
@@ -228,8 +229,7 @@ def _cmd_report(args, argv) -> int:
         model, model_meta = _load_model(args.model)
         if model.uses_attention:
             dataset = build_bags(features, placement=model_meta.get("placement"), n_instances=model.n_accel_instances)
-            folds = loso_folds(features, seed=model_meta["config"]["seed"])
-            fold = folds[[f.test_user for f in folds].index(model_meta["test_user"])]
+            fold = _fold(features, model_meta["config"]["seed"], model_meta["test_user"])
             _, _, test_idx = split_bags(dataset, fold)
             tables = attention_report(model, dataset, test_idx)
             lines.append(_format_attention(tables))
@@ -326,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args, argv)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UnknownTestUser) else 1
 
 
 if __name__ == "__main__":

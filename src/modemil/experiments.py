@@ -13,7 +13,7 @@ from .hmm import estimate_transitions, viterbi_streams
 from .metrics import ClassificationMetrics, classification_metrics, roc_curve
 from .model import TransportModeClassifier
 from .splits import SplitSpec, loso_folds, split_bags
-from .train import TrainConfig, TrainHistory, predict_dataset, run_pretraining, run_training
+from .train import TrainConfig, TrainHistory, _model_inputs, predict_dataset, run_pretraining, run_training
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -231,13 +231,7 @@ def attention_report(
     indices = np.asarray(indices, dtype=np.int64)
     for lo in range(0, len(indices), batch_size):
         chunk = indices[lo : lo + batch_size]
-        batch = dataset.batch(chunk)
-        acc = batch["acc"]
-        result = model.predict(
-            acc=acc if model.uses_accel else None,
-            loc_seq=batch["loc_seq"] if model.uses_loc else None,
-            loc_scalars=batch["loc_scalars"] if model.uses_loc else None,
-        )
+        result = model.predict(**_model_inputs(model, dataset.batch(chunk)))
         for b, i in enumerate(chunk):
             ref = dataset.refs[i]
             label = ref.label
@@ -247,7 +241,7 @@ def attention_report(
             if model.uses_loc:
                 modality[label].append((float(weights[n_acc:].sum()), float(acc_w.sum())))
             share = acc_w / acc_w.sum() if acc_w.sum() > 0 else np.full(n_acc, 1.0 / n_acc)
-            names = dataset.placement_names(ref)
+            names = dataset.placement_names(ref)[-n_acc:]  # the windows the model saw
             row: dict[str, float] = {}
             for name, w in zip(names, share):
                 row[name] = row.get(name, 0.0) + float(w)

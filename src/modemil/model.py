@@ -6,17 +6,21 @@ attention pool scores each embedded instance with a tanh/sigmoid gate,
 normalizes the scores with a softmax, and fuses the bag as the weighted sum.
 An eight-way head with per-class sigmoid outputs makes the prediction.
 
-Architectures (selected by name, all built from the same components):
+Architectures (selected by name; every one is a row of ``WIRING``, and
+``forward`` runs the same path for all of them):
 
-- ``fusion_mil``: 3 acceleration + 1 location instance, attention fusion,
-  two-layer classifier head
-- ``acc_mil``: attention over the acceleration instances only, linear head
-- ``acc_cnn``: single acceleration instance, linear head
-- ``loc_lstm``: location instance only, linear head
-- ``fusion_concat``: one acceleration embedding concatenated with the
-  location embedding (512-d) into the classifier head
-- ``fusion_concat_pp``: attention-pooled acceleration embedding concatenated
-  with the location embedding (512-d) into the classifier head
+    arch               accel pooling  location  fusion  head
+    fusion_mil         attention      yes       bag     two-layer, 256-d in
+    acc_mil            attention      no        -       linear
+    acc_cnn            single         no        -       linear
+    loc_lstm           -              yes       -       linear
+    fusion_concat      single         yes       concat  two-layer, 512-d in
+    fusion_concat_pp   attention      yes       concat  two-layer, 512-d in
+
+"bag" fusion makes the location embedding the attention bag's last instance;
+"concat" appends it to the (pooled) acceleration embedding. Every attending
+architecture reports ``accel_weight``, ``fusion_concat_pp`` included;
+``loc_weight`` exists only where location is a bag instance.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .nn.tensor import concat, relu, reshape, sigmoid, softmax, tanh
 __all__ = [
     "EMBED_DIM",
     "ARCHITECTURES",
+    "WIRING",
     "AccelEncoder",
     "LocEncoder",
     "AttentionPool",
@@ -51,7 +56,16 @@ SPEC_SHAPE = (51, 51, 2)
 LOC_SEQ_SHAPE = (10, 2)
 N_LOC_SCALARS = 5
 
-ARCHITECTURES = ("fusion_mil", "acc_mil", "acc_cnn", "loc_lstm", "fusion_concat", "fusion_concat_pp")
+# arch -> (acceleration pooling, uses location, fusion)
+WIRING = {
+    "fusion_mil": ("attention", True, "bag"),
+    "acc_mil": ("attention", False, None),
+    "acc_cnn": ("single", False, None),
+    "loc_lstm": (None, True, None),
+    "fusion_concat": ("single", True, "concat"),
+    "fusion_concat_pp": ("attention", True, "concat"),
+}
+ARCHITECTURES = tuple(WIRING)
 
 
 class AccelEncoder(Module):
@@ -200,7 +214,7 @@ class ForwardResult:
 
 
 class TransportModeClassifier(Module):
-    """The full model family; the architecture name picks the wiring."""
+    """The full model family; the architecture's ``WIRING`` row picks the wiring."""
 
     def __init__(
         self,
@@ -212,13 +226,13 @@ class TransportModeClassifier(Module):
         super().__init__()
         if arch not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {arch!r}; choose from {ARCHITECTURES}")
+        pooling, self.uses_loc, self.fusion = WIRING[arch]
         self.arch = arch
-        self.n_accel_instances = n_accel_instances if arch not in ("acc_cnn", "fusion_concat") else 1
+        self.n_accel_instances = n_accel_instances if pooling != "single" else 1
         self.seed = seed
         rng = np.random.default_rng(seed)
-        self.uses_accel = arch != "loc_lstm"
-        self.uses_loc = arch in ("fusion_mil", "loc_lstm", "fusion_concat", "fusion_concat_pp")
-        self.uses_attention = arch in ("fusion_mil", "acc_mil", "fusion_concat_pp")
+        self.uses_accel = pooling is not None
+        self.uses_attention = pooling == "attention"
 
         if self.uses_accel:
             self.accel_encoder = AccelEncoder(rng, dropout_rate)
@@ -226,20 +240,12 @@ class TransportModeClassifier(Module):
             self.loc_encoder = LocEncoder(rng)
         if self.uses_attention:
             self.attention = AttentionPool(rng)
-        if arch == "fusion_mil":
-            self.head = ClassifierHead(rng, EMBED_DIM)
-        elif arch in ("fusion_concat", "fusion_concat_pp"):
-            self.head = ClassifierHead(rng, 2 * EMBED_DIM)
-        else:
+        if self.fusion is None:
             self.head = LinearHead(rng, EMBED_DIM)
+        else:
+            self.head = ClassifierHead(rng, EMBED_DIM if self.fusion == "bag" else 2 * EMBED_DIM)
 
     # -- forward -----------------------------------------------------------------
-
-    def _embed_accel(self, acc: np.ndarray, training: bool, rng) -> Tensor:
-        batch, n_inst = acc.shape[:2]
-        flat = Tensor(acc.reshape((batch * n_inst,) + SPEC_SHAPE))
-        embedded = self.accel_encoder(flat, training, rng)
-        return reshape(embedded, (batch, n_inst, EMBED_DIM))
 
     def forward(
         self,
@@ -264,40 +270,27 @@ class TransportModeClassifier(Module):
         if self.uses_loc and (loc_seq is None or loc_scalars is None):
             raise ValueError(f"{self.arch} needs location input")
 
-        attention = accel_w = loc_w = None
-        if self.arch == "fusion_mil":
-            h_acc = self._embed_accel(acc, training, rng)
+        if self.uses_accel:
+            flat = self.accel_encoder(Tensor(acc.reshape((-1,) + SPEC_SHAPE)), training, rng)
+            h_acc = reshape(flat, acc.shape[:2] + (EMBED_DIM,))
+        if self.uses_loc:
             h_loc = self.loc_encoder(Tensor(loc_seq), Tensor(loc_scalars), training)
-            bag = concat([h_acc, reshape(h_loc, (h_loc.shape[0], 1, EMBED_DIM))], axis=1)
+        attention = accel_w = loc_w = None
+        if self.uses_attention:
+            bag = h_acc
+            if self.fusion == "bag":
+                bag = concat([h_acc, reshape(h_loc, (h_loc.shape[0], 1, EMBED_DIM))], axis=1)
             z, a = self.attention(bag)
-            logits = self.head(z, training)
             attention = a.data.copy()
             accel_w = attention[:, : self.n_accel_instances].sum(axis=1)
-            loc_w = attention[:, self.n_accel_instances :].sum(axis=1)
-        elif self.arch == "acc_mil":
-            h_acc = self._embed_accel(acc, training, rng)
-            z, a = self.attention(h_acc)
-            logits = self.head(z, training)
-            attention = a.data.copy()
-            accel_w = attention.sum(axis=1)
-        elif self.arch == "acc_cnn":
-            batch = acc.shape[0]
-            z = self.accel_encoder(Tensor(acc.reshape((batch,) + SPEC_SHAPE)), training, rng)
-            logits = self.head(z, training)
-        elif self.arch == "loc_lstm":
-            z = self.loc_encoder(Tensor(loc_seq), Tensor(loc_scalars), training)
-            logits = self.head(z, training)
-        elif self.arch == "fusion_concat":
-            batch = acc.shape[0]
-            h_a = self.accel_encoder(Tensor(acc.reshape((batch,) + SPEC_SHAPE)), training, rng)
-            h_l = self.loc_encoder(Tensor(loc_seq), Tensor(loc_scalars), training)
-            logits = self.head(concat([h_a, h_l], axis=1), training)
-        else:  # fusion_concat_pp
-            h_acc = self._embed_accel(acc, training, rng)
-            z_a, a = self.attention(h_acc)
-            h_l = self.loc_encoder(Tensor(loc_seq), Tensor(loc_scalars), training)
-            logits = self.head(concat([z_a, h_l], axis=1), training)
-            attention = a.data.copy()
+            loc_w = attention[:, self.n_accel_instances :].sum(axis=1) if self.fusion == "bag" else None
+        elif self.uses_accel:
+            z = reshape(h_acc, (h_acc.shape[0], EMBED_DIM))
+        else:
+            z = h_loc
+        if self.fusion == "concat":
+            z = concat([z, h_loc], axis=1)
+        logits = self.head(z, training)
         return ForwardResult(probs=sigmoid(logits), attention=attention, accel_weight=accel_w, loc_weight=loc_w)
 
     def predict(self, acc=None, loc_seq=None, loc_scalars=None) -> ForwardResult:

@@ -18,6 +18,7 @@ __all__ = [
     "TrainConfig",
     "TrainHistory",
     "TrainingDiverged",
+    "build_model",
     "train_model",
     "run_training",
     "run_pretraining",
@@ -71,6 +72,11 @@ class TrainHistory:
 
 class TrainingDiverged(RuntimeError):
     """Raised when the training loss stops being finite."""
+
+
+def build_model(config: TrainConfig) -> TransportModeClassifier:
+    """The untrained model a config describes (architecture, windows per bag, seed, dropout)."""
+    return TransportModeClassifier(config.arch, config.n_accel_instances, config.seed, config.dropout)
 
 
 def _model_inputs(model: TransportModeClassifier, batch: dict) -> dict:
@@ -192,13 +198,7 @@ def run_training(
     model: TransportModeClassifier | None = None,
 ) -> tuple[TransportModeClassifier, TrainHistory]:
     """Build a model from the config (unless given) and train it."""
-    if model is None:
-        model = TransportModeClassifier(
-            arch=config.arch,
-            n_accel_instances=config.n_accel_instances,
-            seed=config.seed,
-            dropout_rate=config.dropout,
-        )
+    model = build_model(config) if model is None else model
     history = train_model(model, dataset, train_idx, val_idx, config)
     return model, history
 
@@ -235,12 +235,7 @@ def run_pretraining(
         loc_model, histories["loc"] = run_training(stage_cfg, bags, tr, va)
         encoder_states["loc_encoder"] = loc_model.loc_encoder.state_dict()
 
-    model = TransportModeClassifier(
-        arch=config.arch,
-        n_accel_instances=config.n_accel_instances,
-        seed=config.seed,
-        dropout_rate=config.dropout,
-    )
+    model = build_model(config)
     for name, state in encoder_states.items():
         encoder = getattr(model, name)
         encoder.load_state_dict(state)

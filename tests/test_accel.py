@@ -11,11 +11,9 @@ from modemil.accel import (
     SEGMENT_SAMPLES,
     WINDOW_SAMPLES,
     band_table,
-    channel_stats,
     magnitude_jerk,
     mask_augment,
     spectrogram,
-    standardize,
 )
 
 
@@ -238,11 +236,3 @@ class TestMaskAugment:
         b = mask_augment(spec, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
 
-
-def test_standardize_round_trip():
-    rng = np.random.default_rng(13)
-    specs = rng.normal(loc=3.0, scale=2.0, size=(40, 51, 51, 2))
-    stats = channel_stats(specs)
-    z = standardize(specs, stats)
-    np.testing.assert_allclose(z.mean(axis=(0, 1, 2)), 0.0, atol=1e-12)
-    np.testing.assert_allclose(z.std(axis=(0, 1, 2)), 1.0, atol=1e-12)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from modemil.cli import main
-from modemil.nn import load_arrays
+from modemil.model import ARCHITECTURES, WIRING
+from modemil.nn import load_arrays, save_arrays
+from modemil.train import TrainConfig, build_model
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +99,50 @@ def test_four_instance_model_trains_evaluates_and_reports(pipeline):
     assert json.loads((run / "metrics.json").read_text())["hmm"]["accuracy"] >= 0.0
     assert main(["report", "--run", str(run), *features, "--model", model]) == 0
     assert (run / "report" / "attention.json").exists()
+
+
+def test_unknown_test_user_is_a_usage_error(pipeline, capsys):
+    args = ["train", "--features", str(pipeline / "features.npz"), "--test-user", "nobody"]
+    assert main(args + ["--out", str(pipeline / "run_nobody")]) == 2
+    assert "unknown test user 'nobody'" in capsys.readouterr().err
+    assert not (pipeline / "run_nobody").exists()
+
+
+@pytest.mark.parametrize(
+    "arch, n_instances",
+    [(a, n) for a in ARCHITECTURES for n in ((2, 4) if WIRING[a][0] == "attention" else (3,))],
+)
+def test_checkpoint_round_trip_per_architecture(tmp_path, arch, n_instances):
+    from modemil.cli import _load_model
+
+    config = TrainConfig(arch=arch, n_accel_instances=n_instances, seed=6, dropout=0.2)
+    model = build_model(config)
+    rng = np.random.default_rng(1)
+    state = {name: array + rng.normal(scale=0.05, size=array.shape) for name, array in model.state_dict().items()}
+    model.load_state_dict(state)  # weights and running statistics no fresh model has
+    # the metadata ``modemil train`` writes beside the tensors
+    meta = {
+        "kind": "model",
+        "arch": model.arch,
+        "seed": model.seed,
+        "test_user": "u0",
+        "placement": None,
+        "config": json.loads(config.to_json()),
+    }
+    save_arrays(tmp_path / "checkpoint.npz", dict(model.named_tensors()), meta=meta)
+    loaded, loaded_meta = _load_model(tmp_path / "checkpoint.npz")
+    assert loaded_meta == meta
+    assert (loaded.arch, loaded.n_accel_instances) == (arch, model.n_accel_instances)
+    assert not loaded.uses_accel or loaded.accel_encoder.drop1.rate == 0.2
+
+    inputs = {
+        "acc": rng.normal(size=(5, model.n_accel_instances, 51, 51, 2)) if model.uses_accel else None,
+        "loc_seq": rng.normal(size=(5, 10, 2)) if model.uses_loc else None,
+        "loc_scalars": rng.normal(size=(5, 5)) if model.uses_loc else None,
+    }
+    expected = model.predict(**inputs).probs.data
+    assert loaded.predict(**inputs).probs.data.tobytes() == expected.tobytes()
+    assert build_model(config).predict(**inputs).probs.data.tobytes() != expected.tobytes()
 
 
 def test_evaluate_with_and_without_hmm(pipeline, capsys):

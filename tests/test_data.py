@@ -6,6 +6,8 @@ import pytest
 from modemil import MODES
 from modemil.accel import band_table
 from modemil.bags import (
+    UNLABELED,
+    BagRef,
     Session,
     build_bags,
     build_windows,
@@ -16,7 +18,7 @@ from modemil.bags import (
     save_features,
     save_sessions,
 )
-from modemil.geo import haversine
+from modemil.geo import WINDOW_MINUTES, haversine
 from modemil.shl import ColumnMap, ingest, ingest_report
 from modemil.splits import label_streams, loso_folds, split_bags
 from modemil.synth import SynthConfig, synth_generate
@@ -220,6 +222,93 @@ class TestMixedStreams:
         rows = np.array([ref.placement_rows[-1] for ref in mixed.refs])
         freqs = np.bincount(rows, minlength=4) / len(rows)
         assert np.all(np.abs(freqs - 0.25) < 0.02)
+
+
+# The three bag builders as they were before they shared one loop; the
+# builders must emit the same refs, in the same order.
+
+
+def reference_build_bags(features, placement=None, n_instances=3):
+    refs = []
+    for s, feat in enumerate(features):
+        rows = range(len(feat.placements)) if placement is None else [feat.placements.index(placement)]
+        for row in rows:
+            for m in range(WINDOW_MINUTES - 1, feat.n_minutes):
+                if feat.labels[m] == UNLABELED:
+                    continue
+                refs.append(BagRef(s, (row,) * n_instances, m, int(feat.labels[m]), row))
+    return refs
+
+
+def reference_build_windows(features, placement=None):
+    refs = []
+    for s, feat in enumerate(features):
+        rows = range(len(feat.placements)) if placement is None else [feat.placements.index(placement)]
+        for row in rows:
+            for m in range(feat.n_minutes):
+                if feat.labels[m] == UNLABELED:
+                    continue
+                refs.append(BagRef(s, (row,), m, int(feat.labels[m]), row))
+    return refs
+
+
+def reference_mixed_streams(features, n_streams, rng, dwell_mean=10.0, n_instances=3):
+    refs = []
+    for s, feat in enumerate(features):
+        n_placements = len(feat.placements)
+        for v in range(n_streams):
+            choice = np.empty(feat.n_minutes, dtype=np.int64)
+            m = 0
+            while m < feat.n_minutes:
+                row = int(rng.integers(0, n_placements))
+                dwell = feat.n_minutes if not np.isfinite(dwell_mean) else int(rng.geometric(1.0 / dwell_mean))
+                choice[m : m + dwell] = row
+                m += dwell
+            for m in range(WINDOW_MINUTES - 1, feat.n_minutes):
+                if feat.labels[m] == UNLABELED:
+                    continue
+                rows = tuple(int(choice[m - (n_instances - 1 - k)]) for k in range(n_instances))
+                refs.append(BagRef(s, rows, m, int(feat.labels[m]), v))
+    return refs
+
+
+@pytest.fixture(scope="module")
+def builder_feats():
+    cfg = small_config(placements=("Hand", "Hips", "Torso"), minutes_per_session=40)
+    features = [preprocess_session(s) for s in synth_generate(cfg, np.random.default_rng(23))]
+    features[0].labels[[11, 12, 20, 39]] = UNLABELED  # unlabeled targets, first and last included
+    features[1].labels[:5] = UNLABELED  # unlabeled minutes in a window's history only
+    return features
+
+
+def _ref_types(refs):
+    return {(type(r.session), type(r.target), type(r.label), type(r.stream)) for r in refs} | {
+        type(row) for r in refs for row in r.placement_rows
+    }
+
+
+class TestBagBuilderOracle:
+    @pytest.mark.parametrize("n_instances", [1, 3, 5, 12])
+    @pytest.mark.parametrize("placement", [None, "Hips"])
+    def test_build_bags(self, builder_feats, placement, n_instances):
+        refs = build_bags(builder_feats, placement=placement, n_instances=n_instances).refs
+        assert refs and refs == reference_build_bags(builder_feats, placement, n_instances)
+        assert _ref_types(refs) == {(int, int, int, int), int}
+
+    @pytest.mark.parametrize("placement", [None, "Torso"])
+    def test_build_windows(self, builder_feats, placement):
+        refs = build_windows(builder_feats, placement=placement).refs
+        assert refs and refs == reference_build_windows(builder_feats, placement)
+        assert _ref_types(refs) == {(int, int, int, int), int}
+
+    @pytest.mark.parametrize("n_instances", [1, 3, 5, 12])
+    @pytest.mark.parametrize("dwell_mean", [2.0, np.inf])
+    @pytest.mark.parametrize("n_streams", [1, 3])
+    def test_mixed_streams(self, builder_feats, n_streams, dwell_mean, n_instances):
+        got = mixed_streams(builder_feats, n_streams, np.random.default_rng(8), dwell_mean, n_instances).refs
+        expected = reference_mixed_streams(builder_feats, n_streams, np.random.default_rng(8), dwell_mean, n_instances)
+        assert got and got == expected
+        assert _ref_types(got) == {(int, int, int, int), int}
 
 
 @pytest.fixture(scope="module")

@@ -158,6 +158,21 @@ class TestAttentionReport:
         present = ~np.isnan(tables["placement"][:, 0])
         np.testing.assert_allclose(tables["placement"][present].sum(axis=1), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("arch", ["acc_mil", "fusion_mil"])
+    def test_wider_bags_use_the_most_recent_windows(self, tiny_features, arch):
+        # a 3-instance model on 5-window bags sees their 3 most recent windows,
+        # as predict_dataset feeds it; the tables equal those of 3-window bags
+        model = TransportModeClassifier(arch, n_accel_instances=3, seed=4)
+        idx = np.arange(48)
+        datasets = [
+            (build_bags(tiny_features, n_instances=5), build_bags(tiny_features, n_instances=3)),
+            tuple(mixed_streams(tiny_features, 2, np.random.default_rng(5), 2.0, n) for n in (5, 3)),
+        ]
+        for wide, narrow in datasets:
+            got, expected = attention_report(model, wide, idx), attention_report(model, narrow, idx)
+            for key in ("weight_std", "modality", "placement"):
+                np.testing.assert_array_equal(got[key], expected[key])
+
     def test_requires_attention_architecture(self, tiny_features):
         bags = build_bags(tiny_features, placement="Hips")
         model = TransportModeClassifier("acc_cnn", seed=0)
