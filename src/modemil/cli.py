@@ -14,13 +14,14 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import MODES, __version__
 from .bags import build_bags, load_features, load_sessions, preprocess_session, save_features, save_sessions
-from .experiments import attention_report, dev_label_sequences, roc_tables, smooth_test_predictions
+from .experiments import attention_report, dev_label_sequences, evaluate_split, roc_tables
 from .hmm import estimate_transitions, load_transitions, save_transitions, viterbi_streams
 from .metrics import classification_metrics
 from .model import TransportModeClassifier
@@ -28,7 +29,7 @@ from .nn import load_arrays, save_arrays
 from .shl import ingest, ingest_report
 from .splits import loso_folds, split_bags
 from .synth import SynthConfig, synth_generate
-from .train import TrainConfig, build_model, predict_dataset, run_pretraining, run_training
+from .train import TrainConfig, build_model, train_fold
 
 __all__ = ["main"]
 
@@ -105,14 +106,8 @@ def _cmd_train(args, argv) -> int:
         config.seed = args.seed
     out_dir = Path(args.out)
     fold = _fold(features, config.seed, args.test_user)
-
-    if config.pretrain != "none":
-        model, histories = run_pretraining(config, features, fold)
-        history = histories["fused"]
-    else:
-        dataset = build_bags(features, placement=args.placement, n_instances=config.n_accel_instances)
-        train_idx, val_idx, _ = split_bags(dataset, fold)
-        model, history = run_training(config, dataset, train_idx, val_idx)
+    dataset = build_bags(features, placement=args.placement, n_instances=config.n_accel_instances)
+    model, history = train_fold(config, features, fold, dataset)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     save_arrays(
@@ -124,21 +119,11 @@ def _cmd_train(args, argv) -> int:
             "seed": model.seed,
             "test_user": fold.test_user,
             "placement": args.placement,
-            "config": json.loads(config.to_json()),
+            "config": asdict(config),
         },
     )
-    (out_dir / "history.json").write_text(
-        json.dumps(
-            {
-                "train_loss": history.train_loss,
-                "val_loss": history.val_loss,
-                "val_accuracy": history.val_accuracy,
-                "best_epoch": history.best_epoch,
-            },
-            indent=2,
-        )
-    )
-    _write_manifest(out_dir, "train", argv, json.loads(config.to_json()), config.seed)
+    (out_dir / "history.json").write_text(json.dumps(asdict(history), indent=2))
+    _write_manifest(out_dir, "train", argv, asdict(config), config.seed)
     best = history.val_loss[history.best_epoch] if history.epochs else float("nan")
     print(f"trained {model.arch} for {history.epochs} epochs; best val loss {best:.4f}")
     return 0
@@ -148,9 +133,19 @@ def _load_model(path) -> tuple[TransportModeClassifier, dict]:
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "model":
         raise ValueError(f"{path}: not a model checkpoint")
-    model = build_model(TrainConfig(**meta["config"]))
+    model = build_model(TrainConfig.from_dict(meta["config"]))
     model.load_state_dict(arrays)
     return model, meta
+
+
+def _test_split(features, model_path):
+    """A checkpoint's model and metadata, the bags it was trained on, and its held-out user's bag indices."""
+    model, meta = _load_model(model_path)
+    config = meta["config"]
+    fold = _fold(features, config["seed"], meta["test_user"])
+    dataset = build_bags(features, placement=meta.get("placement"), n_instances=config["n_accel_instances"])
+    _, _, test_idx = split_bags(dataset, fold)
+    return model, meta, dataset, test_idx
 
 
 def _metric_block(name: str, metrics) -> str:
@@ -162,37 +157,27 @@ def _metric_block(name: str, metrics) -> str:
 
 def _cmd_evaluate(args, argv) -> int:
     features = load_features(args.features)
-    model, meta = _load_model(args.model)
-    config = TrainConfig(**meta["config"])
-    fold = _fold(features, config.seed, meta["test_user"])
-    dataset = build_bags(features, placement=meta.get("placement"), n_instances=config.n_accel_instances)
-    _, _, test_idx = split_bags(dataset, fold)
-    probs, labels = predict_dataset(model, dataset, test_idx)
-    raw = probs.argmax(axis=1)
-    pre = classification_metrics(labels, raw)
-    blocks = [_metric_block("no-hmm", pre)]
-    payload = {"no_hmm": pre.summary()}
-
+    model, meta, dataset, test_idx = _test_split(features, args.model)
     out_dir = Path(args.out) if args.out else Path(args.model).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     transitions = estimate_transitions(dev_label_sequences(features, meta["test_user"]))
     save_transitions(out_dir / "transitions.txt", transitions)
+    pre, post, probs, labels = evaluate_split(model, dataset, test_idx, transitions)
+    blocks = [_metric_block("no-hmm", pre)]
+    payload = {"no_hmm": pre.summary()}
     if args.hmm:
-        smoothed = smooth_test_predictions(dataset, test_idx, probs, transitions)
-        post = classification_metrics(labels, smoothed)
         blocks.append(_metric_block("hmm", post))
         payload["hmm"] = post.summary()
 
-    sessions = np.array([dataset.refs[i].session for i in test_idx], dtype=np.int64)
-    targets = np.array([dataset.refs[i].target for i in test_idx], dtype=np.int64)
-    streams = np.array([dataset.refs[i].stream for i in test_idx], dtype=np.int64)
+    refs = [dataset.refs[i] for i in test_idx]
+    keys = {key: np.array([getattr(r, key) for r in refs], dtype=np.int64) for key in ("session", "target", "stream")}
     save_arrays(
         out_dir / "predictions.npz",
-        {"probs": probs, "labels": labels, "session": sessions, "target": targets, "stream": streams},
+        {"probs": probs, "labels": labels, **keys},
         meta={"kind": "predictions", "test_user": meta["test_user"]},
     )
     (out_dir / "metrics.json").write_text(json.dumps(payload, indent=2))
-    _write_manifest(out_dir, "evaluate", argv, meta["config"], config.seed)
+    _write_manifest(out_dir, "evaluate", argv, meta["config"], meta["config"]["seed"])
     print("\n".join(blocks))
     return 0
 
@@ -225,12 +210,8 @@ def _cmd_report(args, argv) -> int:
     lines = [_metric_block("no-hmm", metrics)]
 
     if args.features and args.model:
-        features = load_features(args.features)
-        model, model_meta = _load_model(args.model)
+        model, _, dataset, test_idx = _test_split(load_features(args.features), args.model)
         if model.uses_attention:
-            dataset = build_bags(features, placement=model_meta.get("placement"), n_instances=model.n_accel_instances)
-            fold = _fold(features, model_meta["config"]["seed"], model_meta["test_user"])
-            _, _, test_idx = split_bags(dataset, fold)
             tables = attention_report(model, dataset, test_idx)
             lines.append(_format_attention(tables))
             (out_dir / "attention.json").write_text(

@@ -12,8 +12,8 @@ from .bags import BagDataset, SessionFeatures, UNLABELED, build_bags, mixed_stre
 from .hmm import estimate_transitions, viterbi_streams
 from .metrics import ClassificationMetrics, classification_metrics, roc_curve
 from .model import TransportModeClassifier
-from .splits import SplitSpec, loso_folds, split_bags
-from .train import TrainConfig, TrainHistory, _model_inputs, predict_dataset, run_pretraining, run_training
+from .splits import loso_folds, split_bags
+from .train import TrainConfig, TrainHistory, _model_inputs, predict_dataset, train_fold
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -130,19 +130,6 @@ def _test_indices_by_placement(dataset: BagDataset, test_idx: np.ndarray) -> dic
     return {k: np.array(v, dtype=np.int64) for k, v in by_placement.items()}
 
 
-def _train_for_fold(
-    config: TrainConfig,
-    features: list[SessionFeatures],
-    fold: SplitSpec,
-    dataset: BagDataset,
-) -> tuple[TransportModeClassifier, TrainHistory]:
-    if config.pretrain != "none":
-        model, histories = run_pretraining(config, features, fold)
-        return model, histories["fused"]
-    train_idx, val_idx, _ = split_bags(dataset, fold)
-    return run_training(config, dataset, train_idx, val_idx)
-
-
 def run_experiment(
     kind: str,
     features: list[SessionFeatures],
@@ -183,12 +170,12 @@ def run_experiment(
             if kind == "per-placement":
                 for placement in features[0].placements:
                     dataset = build_bags(features, placement=placement, n_instances=n_inst)
-                    model, history = _train_for_fold(run_config, features, fold, dataset)
+                    model, history = train_fold(run_config, features, fold, dataset)
                     _, _, test_idx = split_bags(dataset, fold)
                     record(fold, run, placement, model, dataset, test_idx, transitions, history)
             elif kind == "all-placements":
                 dataset = build_bags(features, placement=None, n_instances=n_inst)
-                model, history = _train_for_fold(run_config, features, fold, dataset)
+                model, history = train_fold(run_config, features, fold, dataset)
                 _, _, test_idx = split_bags(dataset, fold)
                 for placement, idx in sorted(_test_indices_by_placement(dataset, test_idx).items()):
                     record(fold, run, placement, model, dataset, idx, transitions, history)
@@ -196,8 +183,7 @@ def run_experiment(
                 n_streams = 1 if kind == "mixed-one" else 4
                 mix_rng = np.random.default_rng(run_seed + 17)
                 dataset = mixed_streams(features, n_streams, mix_rng, n_instances=n_inst)
-                train_idx, val_idx, _ = split_bags(dataset, fold)
-                model, history = run_training(run_config, dataset, train_idx, val_idx)
+                model, history = train_fold(run_config, features, fold, dataset)
                 test_set = mixed_streams(features, 1, np.random.default_rng(run_seed + 31), n_instances=n_inst)
                 _, _, test_idx = split_bags(test_set, fold)
                 record(fold, run, "mixed", model, test_set, test_idx, transitions, history)

@@ -26,14 +26,12 @@ from .tensor import (
     cce_loss,
     clip,
     concat,
-    exp,
     log,
     make_node,
     no_grad,
     relu,
     sigmoid,
     softmax,
-    sqrt,
     tanh,
 )
 
@@ -45,9 +43,7 @@ __all__ = [
     "relu",
     "tanh",
     "sigmoid",
-    "exp",
     "log",
-    "sqrt",
     "clip",
     "softmax",
     "cce_loss",

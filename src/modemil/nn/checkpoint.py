@@ -12,6 +12,7 @@ Array names, shapes and dtypes are self-describing through the npz index;
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -35,13 +36,20 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
 
 
 def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
-    with np.load(path) as archive:
-        if _META_KEY not in archive:
-            raise ValueError(f"{path}: not a {FORMAT_NAME} archive (missing header)")
-        header = json.loads(bytes(archive[_META_KEY]).decode("utf-8"))
-        if header.get("format") != FORMAT_NAME:
-            raise ValueError(f"{path}: unexpected format {header.get('format')!r}")
-        if header.get("version") != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported version {header.get('version')!r}")
-        arrays = {name: archive[name] for name in archive.files if name != _META_KEY}
+    """Arrays and metadata of an archive; a file that is not one raises a ``ValueError`` naming it."""
+    try:
+        archive = np.load(path)
+        arrays = {}  # a lone .npy array has no header
+        if isinstance(archive, np.lib.npyio.NpzFile):
+            with archive:
+                arrays = {name: archive[name] for name in archive.files}
+    except (ValueError, zipfile.BadZipFile) as exc:  # not a zip, a truncated one, or pickled data
+        raise ValueError(f"{path}: not a readable {FORMAT_NAME} archive ({exc})") from exc
+    if _META_KEY not in arrays:
+        raise ValueError(f"{path}: not a {FORMAT_NAME} archive (missing header)")
+    header = json.loads(bytes(arrays.pop(_META_KEY)).decode("utf-8"))
+    if header.get("format") != FORMAT_NAME:
+        raise ValueError(f"{path}: unexpected format {header.get('format')!r}")
+    if header.get("version") != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported version {header.get('version')!r}")
     return arrays, header.get("meta", {})

@@ -93,16 +93,6 @@ class Module:
             child.freeze()
         return self
 
-    def unfreeze(self):
-        self._frozen = False
-        for name in sorted(vars(self)):
-            value = vars(self)[name]
-            if isinstance(value, Tensor):
-                value.requires_grad = True
-        for _, child in self._children():
-            child.unfreeze()
-        return self
-
     @property
     def frozen(self) -> bool:
         return self._frozen

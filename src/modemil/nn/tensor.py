@@ -1,8 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The operation set is deliberately small: exactly what the two encoders, the
-gated attention pool, the classifier and the cross-entropy loss need. All
-data lives in row-major numpy arrays in double precision, which keeps
+gated attention pool, the classifier and the cross-entropy loss need, namely
+add, subtract, negate, multiply, matmul, reshape, indexing, concat, sum, mean,
+relu, tanh, sigmoid, log, clip, softmax and ``cce_loss``. Convolution,
+max-pool and batch norm are single nodes built in ``layers``. All data lives in row-major numpy arrays in double precision, which keeps
 finite-difference gradient checks tight.
 """
 
@@ -20,9 +22,7 @@ __all__ = [
     "relu",
     "tanh",
     "sigmoid",
-    "exp",
     "log",
-    "sqrt",
     "clip",
     "softmax",
     "cce_loss",
@@ -88,14 +88,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ValueError("item() requires a tensor with exactly one element")
-        return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -149,9 +141,6 @@ class Tensor:
     def __sub__(self, other):
         return add(self, -_wrap(other))
 
-    def __rsub__(self, other):
-        return add(_wrap(other), -self)
-
     def __neg__(self):
         return neg(self)
 
@@ -160,17 +149,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -185,9 +165,6 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
 
 def _wrap(value) -> Tensor:
@@ -247,33 +224,6 @@ def mul(a, b) -> Tensor:
     return make_node(out_data, (a, b), backward)
 
 
-def div(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out_data = a.data / b.data
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(grad / b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-grad * a.data / (b.data * b.data), b.shape))
-
-    return make_node(out_data, (a, b), backward)
-
-
-def power(a, exponent: float) -> Tensor:
-    a = _wrap(a)
-    if isinstance(exponent, Tensor):
-        raise TypeError("only scalar exponents are supported")
-    exponent = float(exponent)
-    out_data = a.data**exponent
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * exponent * a.data ** (exponent - 1.0))
-
-    return make_node(out_data, (a,), backward)
-
-
 def matmul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -303,18 +253,6 @@ def reshape(a, shape) -> Tensor:
             a._accumulate(grad.reshape(a.shape))
 
     return make_node(a.data.reshape(shape), (a,), backward)
-
-
-def transpose(a, axes) -> Tensor:
-    a = _wrap(a)
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad.transpose(inverse))
-
-    return make_node(a.data.transpose(axes), (a,), backward)
 
 
 def _is_fancy(key) -> bool:
@@ -428,17 +366,6 @@ def sigmoid(a) -> Tensor:
     return make_node(out_data, (a,), backward)
 
 
-def exp(a) -> Tensor:
-    a = _wrap(a)
-    out_data = np.exp(a.data)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * out_data)
-
-    return make_node(out_data, (a,), backward)
-
-
 def log(a) -> Tensor:
     a = _wrap(a)
 
@@ -447,17 +374,6 @@ def log(a) -> Tensor:
             a._accumulate(grad / a.data)
 
     return make_node(np.log(a.data), (a,), backward)
-
-
-def sqrt(a) -> Tensor:
-    a = _wrap(a)
-    out_data = np.sqrt(a.data)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * 0.5 / out_data)
-
-    return make_node(out_data, (a,), backward)
 
 
 def clip(a, lo: float, hi: float) -> Tensor:

@@ -5,13 +5,13 @@ model with the pre-trained weights frozen)."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .bags import BagDataset, SessionFeatures, build_bags, build_windows
-from .model import TransportModeClassifier
-from .nn import Adam, cce_loss, no_grad
+from .model import ARCHITECTURES, TransportModeClassifier
+from .nn import Adam, cce_loss
 from .splits import SplitSpec, split_bags
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "train_model",
     "run_training",
     "run_pretraining",
+    "train_fold",
     "predict_dataset",
 ]
 
@@ -45,17 +46,35 @@ class TrainConfig:
     resample_placement: bool = False  # one placement per bag per epoch
 
     def __post_init__(self):
+        if self.arch not in ARCHITECTURES:
+            raise ValueError(f"arch must be one of {ARCHITECTURES}")
         if self.pretrain not in PRETRAIN_MODES:
             raise ValueError(f"pretrain must be one of {PRETRAIN_MODES}")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        for name, value, least in (
+            ("patience", self.patience, 1),
+            ("n_accel_instances", self.n_accel_instances, 1),
+            ("batch_size", self.batch_size, 2),  # batch norm needs two examples
+            ("max_epochs", self.max_epochs, 0),
+        ):
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
+        if not self.lr > 0:
+            raise ValueError("lr must be > 0")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
 
     @classmethod
+    def from_dict(cls, values: dict) -> "TrainConfig":
+        """The config a JSON object describes; unknown keys are named in the error."""
+        unknown = sorted(set(values) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown TrainConfig keys: {', '.join(unknown)}")
+        return cls(**values)
+
+    @classmethod
     def from_json(cls, text: str) -> "TrainConfig":
-        return cls(**json.loads(text))
+        return cls.from_dict(json.loads(text))
 
 
 @dataclass
@@ -113,17 +132,11 @@ def predict_dataset(
 
 
 def _validate(model, dataset, indices, batch_size) -> tuple[float, float]:
-    losses = []
-    correct = 0
-    for lo in range(0, len(indices), batch_size):
-        chunk = indices[lo : lo + batch_size]
-        batch = dataset.batch(chunk)
-        with no_grad():
-            result = model.forward(**_model_inputs(model, batch), training=False)
-            loss = cce_loss(result.probs, batch["labels"])
-        losses.append(float(loss.data) * len(chunk))
-        correct += int((result.predictions == batch["labels"]).sum())
-    return sum(losses) / len(indices), correct / len(indices)
+    """Mean loss and accuracy; the loss is averaged per inference chunk, then weighted by chunk size."""
+    probs, labels = predict_dataset(model, dataset, indices, batch_size)
+    chunks = [slice(lo, lo + batch_size) for lo in range(0, len(indices), batch_size)]
+    loss = sum(float(cce_loss(probs[c], labels[c]).data) * len(labels[c]) for c in chunks)
+    return loss / len(indices), int((probs.argmax(axis=1) == labels).sum()) / len(indices)
 
 
 def train_model(
@@ -139,8 +152,8 @@ def train_model(
     augmentation stripes and placement resampling all derive from it. A
     non-finite loss aborts with ``TrainingDiverged``.
     """
-    if len(train_idx) == 0 or len(val_idx) == 0:
-        raise ValueError("training needs non-empty train and validation sets")
+    if len(train_idx) < 2 or len(val_idx) == 0:
+        raise ValueError("training needs at least 2 training bags and a non-empty validation set")
     history = TrainHistory()
     if config.max_epochs == 0:
         return history
@@ -228,9 +241,12 @@ def run_pretraining(
         stage_cfg = _stage_config(config, arch="acc_cnn")
         acc_model, histories["accel"] = run_training(stage_cfg, windows, tr, va)
         encoder_states["accel_encoder"] = acc_model.accel_encoder.state_dict()
+    # One bag per target minute on the first placement, for the location stage
+    # and the fused stage; each fused epoch redraws which placement's
+    # acceleration stream fills a bag (validation keeps the fixed placement).
+    bags = build_bags(features, placement=features[0].placements[0], n_instances=config.n_accel_instances)
+    tr, va, _ = split_bags(bags, fold)
     if config.pretrain in ("loc", "both"):
-        bags = build_bags(features, placement=features[0].placements[0], n_instances=config.n_accel_instances)
-        tr, va, _ = split_bags(bags, fold)
         stage_cfg = _stage_config(config, arch="loc_lstm")
         loc_model, histories["loc"] = run_training(stage_cfg, bags, tr, va)
         encoder_states["loc_encoder"] = loc_model.loc_encoder.state_dict()
@@ -241,13 +257,25 @@ def run_pretraining(
         encoder.load_state_dict(state)
         if config.freeze_pretrained:
             encoder.freeze()
-    # One bag per target minute; each epoch redraws which placement's
-    # acceleration stream fills it (validation keeps the fixed placement).
-    bags = build_bags(features, placement=features[0].placements[0], n_instances=config.n_accel_instances)
-    tr, va, _ = split_bags(bags, fold)
     stage2_cfg = _stage_config(config, arch=config.arch, resample_placement=True)
     model, histories["fused"] = run_training(stage2_cfg, bags, tr, va, model=model)
     return model, histories
+
+
+def train_fold(
+    config: TrainConfig,
+    features: list[SessionFeatures],
+    fold: SplitSpec,
+    dataset: BagDataset,
+) -> tuple[TransportModeClassifier, TrainHistory]:
+    """Train on one leave-one-user-out fold: the two-stage protocol when the
+    config pre-trains (its bags come from ``features``), else ``dataset``'s
+    train and validation bags."""
+    if config.pretrain != "none":
+        model, histories = run_pretraining(config, features, fold)
+        return model, histories["fused"]
+    train_idx, val_idx, _ = split_bags(dataset, fold)
+    return run_training(config, dataset, train_idx, val_idx)
 
 
 def _stage_config(config: TrainConfig, arch: str, resample_placement: bool = False) -> TrainConfig:

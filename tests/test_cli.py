@@ -101,6 +101,35 @@ def test_four_instance_model_trains_evaluates_and_reports(pipeline):
     assert (run / "report" / "attention.json").exists()
 
 
+def test_mistyped_config_key_is_named(pipeline, capsys):
+    (pipeline / "typo.json").write_text(json.dumps({"lr": 1e-3, "max_epoch": 1}))
+    args = ["train", "--features", str(pipeline / "features.npz"), "--config", str(pipeline / "typo.json")]
+    assert main(args + ["--out", str(pipeline / "run_typo")]) == 1
+    assert "unknown TrainConfig keys: max_epoch" in capsys.readouterr().err
+
+    # a checkpoint's config goes through the same check
+    checkpoint = pipeline / "typo_checkpoint.npz"
+    save_arrays(checkpoint, {}, meta={"kind": "model", "config": {"arch": "fusion_mil", "dropout_rate": 0.1}})
+    assert main(["evaluate", "--features", str(pipeline / "features.npz"), "--model", str(checkpoint)]) == 1
+    assert "unknown TrainConfig keys: dropout_rate" in capsys.readouterr().err
+
+
+def _evaluate_bad_checkpoint(pipeline, capsys, data: bytes):
+    bad = pipeline / "bad_checkpoint.npz"
+    bad.write_bytes(data)
+    assert main(["evaluate", "--features", str(pipeline / "features.npz"), "--model", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+def test_truncated_checkpoint_names_its_file(pipeline, capsys):
+    data = (pipeline / "run" / "checkpoint.npz").read_bytes()
+    _evaluate_bad_checkpoint(pipeline, capsys, data[: len(data) // 2])
+
+
+def test_non_archive_checkpoint_names_its_file(pipeline, capsys):
+    _evaluate_bad_checkpoint(pipeline, capsys, b"not an archive\n")
+
+
 def test_unknown_test_user_is_a_usage_error(pipeline, capsys):
     args = ["train", "--features", str(pipeline / "features.npz"), "--test-user", "nobody"]
     assert main(args + ["--out", str(pipeline / "run_nobody")]) == 2

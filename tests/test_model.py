@@ -238,8 +238,6 @@ class TestFreezeAndState:
         frozen = len(model.accel_encoder.parameters())
         model.accel_encoder.freeze()
         assert frozen > 0 and len(model.parameters()) == total - frozen
-        model.accel_encoder.unfreeze()
-        assert len(model.parameters()) == total
 
     def test_state_round_trip_through_archive(self, tmp_path):
         rng = np.random.default_rng(20)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from modemil.nn import Tensor, cce_loss, grad_check, no_grad
-from modemil.nn.tensor import clip, concat, exp, log, relu, sigmoid, softmax, sqrt, tanh
+from modemil.nn.tensor import clip, concat, log, relu, sigmoid, softmax, tanh
 
 
 def test_add_mul_broadcast_gradients():
@@ -60,7 +60,6 @@ def test_reductions_and_shapes():
 
     y = Tensor(rng.normal(size=(2, 6)))
     assert y.reshape(3, 4).shape == (3, 4)
-    assert y.transpose((1, 0)).shape == (6, 2)
 
 
 def test_concat_gradient_routing():
@@ -77,7 +76,7 @@ def test_elementwise_gradients():
     rng = np.random.default_rng(4)
     x = Tensor(rng.uniform(0.5, 2.0, size=(3, 3)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 3)))
-    for fn in (exp, log, sqrt, tanh, sigmoid, relu):
+    for fn in (log, tanh, sigmoid, relu):
         err = grad_check(lambda fn=fn: (fn(x) * w).sum(), [x], rng=rng)
         assert err < 1e-7, fn.__name__
 

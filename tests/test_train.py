@@ -6,9 +6,19 @@ import pytest
 from modemil.bags import build_bags, build_windows, preprocess_session
 from modemil.metrics import auc, classification_metrics, confusion_matrix, roc_curve
 from modemil.model import TransportModeClassifier
+from modemil.nn import cce_loss, no_grad
 from modemil.splits import loso_folds, split_bags
 from modemil.synth import SynthConfig, synth_generate
-from modemil.train import TrainConfig, TrainingDiverged, predict_dataset, run_pretraining, run_training, train_model
+from modemil.train import (
+    TrainConfig,
+    TrainingDiverged,
+    _model_inputs,
+    _validate,
+    predict_dataset,
+    run_pretraining,
+    run_training,
+    train_model,
+)
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +73,6 @@ class TestTrainLoop:
         _, bags, _, train_idx, val_idx, _ = toy
         config = TrainConfig(arch="loc_lstm", lr=1e-3, max_epochs=4, patience=2, seed=5, augment=False)
         model, history = run_training(config, bags, train_idx, val_idx)
-        from modemil.train import _validate
-
         val_loss, _ = _validate(model, bags, val_idx, batch_size=128)
         assert val_loss == pytest.approx(min(history.val_loss), abs=1e-9)
 
@@ -81,6 +89,8 @@ class TestTrainLoop:
         model = TransportModeClassifier("loc_lstm", seed=0)
         with pytest.raises(ValueError):
             train_model(model, bags, train_idx, np.array([], dtype=np.int64), TrainConfig(max_epochs=1))
+        with pytest.raises(ValueError, match="at least 2 training bags"):
+            train_model(model, bags, train_idx[:1], train_idx[1:], TrainConfig(max_epochs=1))
 
     def test_stop_accuracy_cuts_training_short(self, toy):
         _, bags, _, train_idx, val_idx, _ = toy
@@ -93,6 +103,19 @@ class TestTrainLoop:
             TrainConfig(pretrain="everything")
         with pytest.raises(ValueError):
             TrainConfig(patience=0)
+        for bad in (
+            {"arch": "nope"},
+            {"n_accel_instances": 0},
+            {"lr": -1.0},
+            {"lr": 0.0},
+            {"lr": float("nan")},
+            {"batch_size": 1},
+            {"max_epochs": -1},
+        ):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                TrainConfig(**bad)
+        with pytest.raises(ValueError, match="unknown TrainConfig keys: max_epoch, seeed"):
+            TrainConfig.from_json('{"seeed": 1, "max_epoch": 3, "lr": 0.001}')
 
     def test_config_json_round_trip(self):
         config = TrainConfig(arch="acc_mil", lr=2e-4, stop_accuracy=0.9)
@@ -204,6 +227,32 @@ class TestMetrics:
     def test_roc_needs_both_classes(self):
         with pytest.raises(ValueError):
             roc_curve(np.array([True, True]), np.array([0.1, 0.2]))
+
+
+def _validate_reference(model, dataset, indices, batch_size):
+    """The validation loop before it ran on ``predict_dataset``: a forward pass
+    under ``no_grad`` and ``cce_loss`` per chunk."""
+    losses = []
+    correct = 0
+    for lo in range(0, len(indices), batch_size):
+        chunk = indices[lo : lo + batch_size]
+        batch = dataset.batch(chunk)
+        with no_grad():
+            result = model.forward(**_model_inputs(model, batch), training=False)
+            loss = cce_loss(result.probs, batch["labels"])
+        losses.append(float(loss.data) * len(chunk))
+        correct += int((result.predictions == batch["labels"]).sum())
+    return sum(losses) / len(indices), correct / len(indices)
+
+
+@pytest.mark.parametrize("chunking", ["one_bag_last_chunk", "one_full_chunk"])
+def test_validate_matches_chunked_forward_reference(toy, chunking):
+    _, bags, _, train_idx, val_idx, _ = toy
+    config = TrainConfig(arch="fusion_mil", lr=1e-3, max_epochs=1, seed=6, augment=False)
+    model, _ = run_training(config, bags, train_idx, val_idx)
+    batch_size = len(val_idx) - 1 if chunking == "one_bag_last_chunk" else len(val_idx)
+    assert len(val_idx) > 2
+    assert _validate(model, bags, val_idx, batch_size) == _validate_reference(model, bags, val_idx, batch_size)
 
 
 def test_predict_dataset_matches_forward(toy):
