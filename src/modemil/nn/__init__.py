@@ -19,7 +19,7 @@ _configure_allocator()
 
 from .checkpoint import load_arrays, save_arrays
 from .gradcheck import grad_check
-from .layers import BatchNorm, BiLSTM, Conv2D, Dense, Dropout, Module, conv2d, glorot_uniform, max_pool
+from .layers import BatchNorm, BiLSTM, Conv2D, Dense, Dropout, Module, conv2d, conv_block, glorot_uniform, max_pool
 from .optim import Adam, NonFiniteGradient
 from .tensor import (
     Tensor,
@@ -54,6 +54,7 @@ __all__ = [
     "Dropout",
     "BiLSTM",
     "conv2d",
+    "conv_block",
     "max_pool",
     "glorot_uniform",
     "Adam",

@@ -4,6 +4,8 @@ Layout conventions: images are channels-last ``(batch, height, width,
 channels)``, sequences are ``(batch, time, features)``, dense activations are
 ``(batch, features)``. Batch normalization always normalizes the trailing
 axis over all leading axes.
+``conv_block`` (conv, batch norm, 2x2 max-pool, ReLU) runs ``CONV_BLOCK``
+images at a time end to end at inference, with the chain's bits.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor
-from .tensor import Tensor, concat, make_node, sigmoid, tanh
+from .tensor import Tensor, concat, make_node, relu, sigmoid, tanh
 
 __all__ = [
     "Module",
@@ -21,6 +23,7 @@ __all__ = [
     "Dropout",
     "BiLSTM",
     "conv2d",
+    "conv_block",
     "max_pool",
     "glorot_uniform",
 ]
@@ -31,7 +34,7 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int
     return rng.uniform(-limit, limit, size=shape)
 
 
-CONV_BLOCK = 16  # images per im2col gemm in conv2d; bounds the column buffer
+CONV_BLOCK = 16  # images per im2col gemm (conv2d, inference conv_block); bounds the column buffer
 
 
 class Module:
@@ -131,13 +134,10 @@ class Dense(Module):
         return x @ self.weight + self.bias
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """Same-padded stride-1 cross-correlation.
-
-    ``x`` is (batch, H, W, c_in), ``kernel`` is (k, k, c_in, c_out) with odd k,
-    ``bias`` is (c_out,). Output spatial size equals input spatial size.
-    The im2col gemm runs ``CONV_BLOCK`` images at a time.
-    """
+def _conv_blocks(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, cols=None, out=None):
+    """Same-padded stride-1 cross-correlation, im2col and gemm ``CONV_BLOCK`` images at a
+    time. ``cols`` and ``out`` each hold the whole batch or one reused block (by default);
+    yields each block's image range ``lo, hi`` and its (hi - lo, H, W, c_out) output."""
     batch, height, width, c_in = x.shape
     k_h, k_w, kc_in, c_out = kernel.shape
     if k_h != k_w or k_h % 2 == 0:
@@ -147,27 +147,41 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     if height < k_h or width < k_w:
         raise ValueError("spatial extent smaller than the kernel")
     pad = k_h // 2
-    padded = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    padded = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     # im2col: each pixel's (k, k) window of all channels, in the kernel's (k, k, c_in) order
     windows = np.lib.stride_tricks.sliding_window_view(padded, (k_h, k_w), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
-    rows, taps = height * width, k_h * k_w * c_in
-    k_flat = kernel.data.reshape(taps, c_out)
-    keep_cols = tensor._grad_enabled and kernel.requires_grad  # the flag make_node reads
-    cols = np.empty((batch if keep_cols else min(batch, CONV_BLOCK), height, width, k_h, k_w, c_in))
-    out_flat = np.empty((batch * rows, c_out))
+    k_flat = kernel.reshape(-1, c_out)
+    cols = np.empty((min(batch, CONV_BLOCK),) + windows.shape[1:]) if cols is None else cols
+    out = np.empty((min(batch, CONV_BLOCK), height, width, c_out)) if out is None else out
     for lo in range(0, batch, CONV_BLOCK):  # a gemm split by rows sums each output alike (tested)
         hi = min(lo + CONV_BLOCK, batch)
-        block = cols[lo:hi] if keep_cols else cols[: hi - lo]
+        block, out_block = (buf[lo:hi] if len(buf) == batch else buf[: hi - lo] for buf in (cols, out))
         block[...] = windows[lo:hi]
-        out_block = out_flat[lo * rows : hi * rows]
-        np.matmul(block.reshape(-1, taps), k_flat, out=out_block)
-        out_block += bias.data
-    out_data = out_flat.reshape(batch, height, width, c_out)
+        np.matmul(block.reshape(-1, k_flat.shape[0]), k_flat, out=out_block.reshape(-1, c_out))
+        out_block += bias
+        yield lo, hi, out_block
+
+
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """Same-padded stride-1 cross-correlation.
+
+    ``x`` is (batch, H, W, c_in), ``kernel`` is (k, k, c_in, c_out) with odd k,
+    ``bias`` is (c_out,). Output spatial size equals input spatial size.
+    The im2col gemm runs ``CONV_BLOCK`` images at a time.
+    """
+    batch, height, width, c_in = x.shape
+    k_h, k_w, _, c_out = kernel.shape
+    pad = k_h // 2
+    keep_cols = tensor._grad_enabled and kernel.requires_grad  # the flag make_node reads
+    cols = np.empty((batch, height, width, k_h, k_w, c_in)) if keep_cols else None
+    out_data = np.empty((batch, height, width, c_out))
+    for _ in _conv_blocks(x.data, kernel.data, bias.data, cols, out_data):
+        pass
 
     def backward(grad):
         grad_flat = grad.reshape(batch * height * width, c_out)
         if kernel.requires_grad:
-            kernel._accumulate((cols.reshape(-1, taps).T @ grad_flat).reshape(kernel.shape))
+            kernel._accumulate((cols.reshape(-1, k_h * k_w * c_in).T @ grad_flat).reshape(kernel.shape))
         if bias.requires_grad:
             bias._accumulate(grad_flat.sum(axis=0))
         if x.requires_grad:
@@ -203,16 +217,21 @@ class Conv2D(Module):
         return conv2d(x, self.kernel, self.bias)
 
 
-def max_pool(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2; a trailing odd row/column is dropped."""
-    batch, height, width, channels = x.shape
+def _pool(data: np.ndarray, out: np.ndarray | None = None):
+    """2x2 stride-2 max of ``data`` into ``out``, and the four stride-2 slices and views
+    it maxes over, in argmax's tie order over a block."""
+    _, height, width, _ = data.shape
     if height < 2 or width < 2:
         raise ValueError("max_pool needs spatial extents >= 2")
     h2, w2 = height // 2, width // 2
-    # The four stride-2 views, in argmax's tie order over a 2x2 block.
     blocks = [(slice(i, 2 * h2, 2), slice(j, 2 * w2, 2)) for i in (0, 1) for j in (0, 1)]
-    quads = [x.data[:, rows, cols] for rows, cols in blocks]
-    out_data = np.maximum(np.maximum(quads[0], quads[1]), np.maximum(quads[2], quads[3]))
+    quads = [data[:, rows, cols] for rows, cols in blocks]
+    return np.maximum(np.maximum(quads[0], quads[1]), np.maximum(quads[2], quads[3]), out=out), blocks, quads
+
+
+def max_pool(x: Tensor) -> Tensor:
+    """2x2 max pooling with stride 2; a trailing odd row/column is dropped."""
+    out_data, blocks, quads = _pool(x.data)
 
     def backward(grad):
         if not x.requires_grad:
@@ -251,19 +270,12 @@ class BatchNorm(Module):
         self._buffers["running_var"] = np.ones(n_channels)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        if x.shape[-1] != self.n_channels:
-            raise ValueError(f"expected {self.n_channels} channels, got {x.shape[-1]}")
         if training and not self._frozen:
             if x.shape[0] < 2:
                 raise ValueError("batch normalization needs a batch size >= 2 in training mode")
             return self._train_forward(x)
         wide, tile = self._wide(x.data)
-        mean = tile(self._buffers["running_mean"])
-        inv = tile(1.0 / np.sqrt(self._buffers["running_var"] + self.eps))
-        out_data = wide - mean  # ((x - mean) * inv) * gain + bias, in one buffer
-        out_data *= inv
-        out_data *= tile(self.gain.data)
-        out_data += tile(self.bias.data)
+        out_data, mean, inv = self._eval(wide, tile)
         gain, bias = self.gain, self.bias
 
         def backward(grad):
@@ -277,20 +289,33 @@ class BatchNorm(Module):
 
         return make_node(out_data.reshape(x.shape), (x, gain, bias), backward)
 
+    def _eval(self, wide: np.ndarray, tile, out: np.ndarray | None = None):
+        """Inference ``((x - mean) * inv) * gain + bias`` of a ``_wide`` view into ``out``
+        (new by default, ``wide`` for in place); returns it and the tiled mean and inv."""
+        mean = tile(self._buffers["running_mean"])
+        inv = tile(1.0 / np.sqrt(self._buffers["running_var"] + self.eps))
+        out = np.subtract(wide, mean, out=out)
+        out *= inv
+        out *= tile(self.gain.data)
+        out += tile(self.bias.data)
+        return out, mean, inv
+
     def _wide(self, data: np.ndarray):
         """``data`` as (rows, W*C), W its width (1 if 2-D), and a function tiling per-channel
         constants W times: the (N, C) arithmetic without an inner loop of C elements."""
+        if data.shape[-1] != self.n_channels:
+            raise ValueError(f"expected {self.n_channels} channels, got {data.shape[-1]}")
         width = data.shape[-2] if data.ndim > 2 else 1
         return data.reshape(-1, width * self.n_channels), lambda c: np.tile(c, width)
 
     def _train_forward(self, x: Tensor) -> Tensor:
+        wide, tile = self._wide(x.data)
         flat = x.data.reshape(-1, self.n_channels)
         count = flat.shape[0]
         mean = flat.mean(axis=0)
         var = np.maximum((flat * flat).mean(axis=0) - mean * mean, 0.0)
         inv = 1.0 / np.sqrt(var + self.eps)
         scale = self.gain.data * inv
-        wide, tile = self._wide(x.data)
         out_data = wide * tile(scale)
         out_data += tile(self.bias.data - scale * mean)
         keep = self.momentum
@@ -319,6 +344,24 @@ class BatchNorm(Module):
                 x._accumulate(dx.reshape(x.shape))
 
         return make_node(out_data.reshape(x.shape), (x, gain, bias), backward)
+
+
+def conv_block(h: Tensor, conv: Conv2D, norm: BatchNorm, training: bool) -> Tensor:
+    """``relu(max_pool(norm(conv(h), training)))``: that chain of nodes while a graph is
+    recorded or batch norm uses batch statistics. Otherwise (inference, a frozen block)
+    each ``CONV_BLOCK`` images run gemm, batch norm in place, the 2x2 max into the
+    quarter-size result and ReLU while in cache: no full-size map, the chain's bits."""
+    parents = (h, conv.kernel, conv.bias, norm.gain, norm.bias)
+    if (training and not norm.frozen) or (tensor._grad_enabled and any(p.requires_grad for p in parents)):
+        return relu(max_pool(norm(conv(h), training)))
+    batch, height, width, _ = h.shape
+    pooled = np.empty((batch, height // 2, width // 2, conv.kernel.shape[-1]))
+    for lo, hi, out in _conv_blocks(h.data, conv.kernel.data, conv.bias.data):
+        wide, tile = norm._wide(out)
+        norm._eval(wide, tile, out=wide)
+        block = _pool(out, pooled[lo:hi])[0]
+        np.maximum(block, 0.0, out=block)
+    return Tensor(pooled)
 
 
 class Dropout(Module):

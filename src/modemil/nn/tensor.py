@@ -357,7 +357,8 @@ def tanh(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = _wrap(a)
     x = a.data
-    out_data = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    small = np.exp(-np.abs(x))  # never overflows
+    out_data = np.where(x >= 0.0, 1.0 / (1.0 + small), small / (1.0 + small))
 
     def backward(grad):
         if a.requires_grad:

@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 PRETRAIN_MODES = ("none", "loc", "accel", "both")
+_FIELD_TYPES = {"str": str, "bool": bool, "int": int, "float": (int, float)}
 
 
 @dataclass
@@ -46,6 +47,11 @@ class TrainConfig:
     resample_placement: bool = False  # one placement per bag per epoch
 
     def __post_init__(self):
+        for f in fields(self):  # each value against its annotation; a bool is no number here
+            value, (kind, _, optional) = getattr(self, f.name), f.type.partition(" | ")
+            wrong = not isinstance(value, _FIELD_TYPES[kind]) or (isinstance(value, bool) and kind != "bool")
+            if wrong and not (value is None and optional == "None"):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         if self.arch not in ARCHITECTURES:
             raise ValueError(f"arch must be one of {ARCHITECTURES}")
         if self.pretrain not in PRETRAIN_MODES:

@@ -107,6 +107,12 @@ def test_mistyped_config_key_is_named(pipeline, capsys):
     assert main(args + ["--out", str(pipeline / "run_typo")]) == 1
     assert "unknown TrainConfig keys: max_epoch" in capsys.readouterr().err
 
+    # so does a value of the wrong type
+    (pipeline / "typed.json").write_text(json.dumps({"lr": 1e-3, "batch_size": "32"}))
+    args = ["train", "--features", str(pipeline / "features.npz"), "--config", str(pipeline / "typed.json")]
+    assert main(args + ["--out", str(pipeline / "run_typed")]) == 1
+    assert "batch_size must be int, got '32'" in capsys.readouterr().err
+
     # a checkpoint's config goes through the same check
     checkpoint = pipeline / "typo_checkpoint.npz"
     save_arrays(checkpoint, {}, meta={"kind": "model", "config": {"arch": "fusion_mil", "dropout_rate": 0.1}})

@@ -8,6 +8,9 @@ match them bit for bit, forward and backward, so equality here is exact
 (``np.array_equal``, or equal bytes where a test says so), not approximate.
 ``conv2d`` runs its gemm ``CONV_BLOCK`` images at a time, so its tests also
 cover batches on either side of a block boundary at the encoder's shapes.
+Inference runs ``conv_block`` that way end to end; its reference is the chain
+of nodes it replaces, ``relu(max_pool(norm(conv(h))))``, at the layer and at
+the model level.
 """
 
 import tracemalloc
@@ -15,8 +18,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from modemil.model import TransportModeClassifier
-from modemil.nn import BatchNorm, Tensor, conv2d, make_node, max_pool, no_grad
+import modemil.model as model_module
+from modemil.model import ARCHITECTURES, WIRING, TransportModeClassifier
+from modemil.nn import BatchNorm, Conv2D, Tensor, cce_loss, conv2d, conv_block, make_node, max_pool, no_grad
 from modemil.nn.layers import CONV_BLOCK
 from modemil.nn.tensor import relu
 
@@ -353,3 +357,138 @@ def test_predictions_do_not_depend_on_how_bags_are_chunked():
     _assert_bytes_equal(predict(16), whole)
     _assert_bytes_equal(predict(17), whole)
     np.testing.assert_allclose(predict(1), whole, rtol=1e-14, atol=0)
+
+
+def _chain(h, conv, norm, training):
+    return relu(max_pool(norm(conv(h), training)))
+
+
+def _block_inputs(kind, shape, rng):
+    data = rng.normal(size=shape)
+    if kind == "specials":  # NaN and +-inf pixels (sparse, as a conv spreads them) and signed zeros
+        pixel = rng.random(shape[:3])
+        data[pixel < 0.01] = np.nan
+        data[(pixel >= 0.01) & (pixel < 0.015)] = np.inf
+        data[(pixel >= 0.015) & (pixel < 0.02)] = -np.inf
+        zeros = rng.random(shape) < 0.2
+        data[zeros] = rng.choice([0.0, -0.0], size=shape)[zeros]
+    elif kind == "ties":  # few distinct values: equal maxima in most pooling blocks
+        data = rng.integers(-1, 2, size=shape).astype(float)
+    return data
+
+
+def _encoder_block(conv_shape, rng):
+    """An encoder-shaped Conv2D and BatchNorm with random running statistics,
+    negative gains and zero gains. A zero-gain channel gets bias -0.0, so the
+    signed zeros it makes reach the pool."""
+    _, _, c_in, c_out = conv_shape
+    conv = Conv2D(c_in, c_out, rng)
+    conv.bias.data[...] = rng.normal(size=c_out)
+    norm = BatchNorm(c_out)
+    norm.gain.data[...] = rng.normal(size=c_out)
+    norm.gain.data[::4] = 0.0
+    norm.bias.data[...] = rng.normal(size=c_out)
+    norm.bias.data[::4] = -0.0
+    norm._buffers["running_mean"][...] = rng.normal(size=c_out)
+    norm._buffers["running_var"][...] = rng.uniform(0.1, 3.0, size=c_out)
+    return conv, norm
+
+
+@pytest.mark.parametrize("kind", ["normal", "specials", "ties"])
+@pytest.mark.parametrize("batch", [1, CONV_BLOCK - 1, CONV_BLOCK, CONV_BLOCK + 1, 40])
+@pytest.mark.parametrize("conv_shape", ENCODER_CONVS, ids=["conv1", "conv2", "conv3"])
+def test_inference_conv_block_matches_chain(kind, batch, conv_shape):
+    # Inference runs each block CONV_BLOCK images at a time end to end; the
+    # chain writes every full-size map. The bits must be the same.
+    height, width, c_in, _ = conv_shape
+    rng = np.random.default_rng(batch * 7 + c_in)
+    conv, norm = _encoder_block(conv_shape, rng)
+    h = Tensor(_block_inputs(kind, (batch, height, width, c_in), rng))
+    with no_grad(), np.errstate(invalid="ignore"):
+        out = conv_block(h, conv, norm, training=False)
+        ref = _chain(h, conv, norm, training=False)
+    assert not out.requires_grad
+    _assert_bytes_equal(out.data, ref.data)
+
+
+def test_conv_block_checks_channels():
+    rng = np.random.default_rng(0)
+    conv, norm = Conv2D(2, 4, rng), BatchNorm(2)
+    with no_grad(), pytest.raises(ValueError, match="expected 2 channels, got 4"):
+        conv_block(Tensor(rng.normal(size=(3, 6, 6, 2))), conv, norm, training=False)
+
+
+ACCEL_ARCHS = [arch for arch in ARCHITECTURES if WIRING[arch][0] is not None]
+
+
+def _model_with_running_stats(arch, seed):
+    model = TransportModeClassifier(arch, 3, seed, 0.3)
+    rng = np.random.default_rng(seed)
+    for name, array in model.named_tensors():
+        if name.endswith("running_mean") or name.endswith("gain"):
+            array[...] = rng.normal(size=array.shape)  # negative gains included
+        elif name.endswith("running_var"):
+            array[...] = rng.uniform(0.1, 3.0, size=array.shape)
+    return model
+
+
+@pytest.mark.parametrize("arch", ACCEL_ARCHS)
+def test_predictions_match_the_unblocked_chain(arch, monkeypatch):
+    rng = np.random.default_rng(len(arch))
+    model = _model_with_running_stats(arch, seed=3)
+    acc = rng.normal(size=(7, model.n_accel_instances, 51, 51, 2))
+    acc[0, 0, :4] = np.nan
+    acc[1, 0, 10:12] = -0.0
+    loc_seq, loc_scalars = rng.normal(size=(7, 10, 2)), rng.normal(size=(7, 5))
+    with np.errstate(invalid="ignore"):
+        blocked = model.predict(acc, loc_seq, loc_scalars)
+        monkeypatch.setattr(model_module, "conv_block", _chain)
+        chained = model.predict(acc, loc_seq, loc_scalars)
+    _assert_bytes_equal(blocked.probs.data, chained.probs.data)
+    for name in ("attention", "accel_weight", "loc_weight"):
+        if getattr(chained, name) is None:
+            assert getattr(blocked, name) is None
+        else:
+            _assert_bytes_equal(getattr(blocked, name), getattr(chained, name))
+
+
+def test_frozen_encoder_training_step_matches_the_unblocked_chain(monkeypatch):
+    # A frozen, pre-trained acceleration encoder runs its conv blocks on the
+    # inference path inside a training step; every gradient and state array
+    # must equal the chain's.
+    rng = np.random.default_rng(8)
+    acc = rng.normal(size=(6, 3, 51, 51, 2))
+    loc_seq, loc_scalars, labels = rng.normal(size=(6, 10, 2)), rng.normal(size=(6, 5)), rng.integers(0, 8, 6)
+
+    def step():
+        model = _model_with_running_stats("fusion_mil", seed=5)
+        model.accel_encoder.freeze()
+        result = model.forward(acc, loc_seq, loc_scalars, training=True, rng=np.random.default_rng(1))
+        cce_loss(result.probs, labels).backward()
+        return [p.grad for _, p in model.named_parameters()], [a for _, a in model.named_tensors()]
+
+    grads, state = step()
+    monkeypatch.setattr(model_module, "conv_block", _chain)
+    ref_grads, ref_state = step()
+    for a, b in zip(grads + state, ref_grads + ref_state, strict=True):
+        _assert_bytes_equal(a, b)
+
+
+def test_inference_encoder_pass_holds_no_batch_sized_map():
+    # Each extra image adds its input, its pooled maps and its padded copies,
+    # far less than its conv1 map (51 * 51 * 16 float64, 333 kB): 40 more
+    # images must add less than one 40-image conv1 map (13.3 MB). The chain
+    # writes full-size conv and batch-norm maps and adds about twice that.
+    encoder = TransportModeClassifier("acc_cnn", 1, 0, 0.3).accel_encoder
+    peaks = []
+    for batch in (40, 80):
+        x = Tensor(np.random.default_rng(batch).normal(size=(batch, 51, 51, 2)))
+        tracemalloc.start()
+        try:
+            with no_grad():
+                encoder(x, training=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] < 40 * 51 * 51 * 16 * 8

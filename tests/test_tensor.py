@@ -188,3 +188,13 @@ class TestCceLoss:
             cce_loss(Tensor(np.full(8, 0.5)), 8)
         with pytest.raises(ValueError):
             cce_loss(Tensor(np.full((2, 8), 0.5)), np.array([0, -1]))
+
+
+def test_sigmoid_keeps_the_bits_of_the_three_exp_form():
+    # sigmoid takes exp(-|x|) once; the reference is the earlier expression
+    # that evaluated it three times. Same arithmetic per element, so equal bytes.
+    tiny = np.finfo(np.float64).tiny
+    specials = [np.inf, -np.inf, np.nan, 0.0, -0.0, 800.0, -800.0, 710.0, -745.0, tiny, -tiny, tiny / 8, -tiny / 8]
+    x = np.concatenate([specials, np.random.default_rng(9).normal(scale=20.0, size=500)])
+    reference = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    assert sigmoid(Tensor(x)).data.tobytes() == reference.tobytes()

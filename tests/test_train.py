@@ -111,6 +111,13 @@ class TestTrainLoop:
             {"lr": float("nan")},
             {"batch_size": 1},
             {"max_epochs": -1},
+            {"lr": "0.001"},
+            {"batch_size": "32"},
+            {"augment": "no"},
+            {"stop_accuracy": "0.9"},
+            {"max_epochs": 2.5},
+            {"seed": True},
+            {"dropout": None},
         ):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 TrainConfig(**bad)
