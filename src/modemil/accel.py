@@ -64,19 +64,16 @@ class BandTable:
         return idx
 
 
-def band_table(
-    f_s: float = SAMPLE_RATE_HZ,
-    n_bands: int = N_BANDS,
-    segment_samples: int = SEGMENT_SAMPLES,
-) -> BandTable:
-    """Build the band layout over the segment's one-sided DFT bins.
+def band_table(n_bands: int = N_BANDS) -> BandTable:
+    """Build the band layout over the one-sided DFT bins of a ``SEGMENT_SAMPLES``
+    segment at ``SAMPLE_RATE_HZ``.
 
     Widths (in bins) double from band to band where the remaining bin budget
     allows it, never drop below one bin, and the last band is clipped so the
     table ends exactly at Nyquist. With 51 bands over 51 bins the doubling is
     never affordable and every band is one bin wide.
     """
-    total_bins = segment_samples // 2 + 1
+    total_bins = SEGMENT_SAMPLES // 2 + 1
     if n_bands > total_bins:
         raise ValueError(f"{n_bands} bands exceed the {total_bins} available DFT bins")
     widths = np.empty(n_bands, dtype=np.int64)
@@ -92,12 +89,10 @@ def band_table(
     starts = np.concatenate(([0], stops[:-1]))
     bin_ranges = np.stack([starts, stops], axis=1)
 
-    df = f_s / segment_samples
-    nyquist = f_s / 2.0
     edges = np.empty(n_bands + 1)
     edges[0] = 0.0
-    edges[1:] = (stops - 0.5) * df
-    edges[-1] = nyquist
+    edges[1:] = (stops - 0.5) * (SAMPLE_RATE_HZ / SEGMENT_SAMPLES)
+    edges[-1] = SAMPLE_RATE_HZ / 2.0  # Nyquist
     return BandTable(edges=edges, bin_ranges=bin_ranges)
 
 

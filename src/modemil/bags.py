@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import WINDOW_SAMPLES, BandTable, band_table, magnitude_jerk, mask_augment, spectrogram
+from .accel import WINDOW_SAMPLES, band_table, magnitude_jerk, mask_augment, spectrogram
 from .geo import WINDOW_MINUTES, LocStream, fill_gaps, loc_features
 from .nn.checkpoint import load_arrays, save_arrays
 
@@ -78,9 +78,9 @@ class SessionFeatures:
         return len(self.labels)
 
 
-def preprocess_session(session: Session, bands: BandTable | None = None) -> SessionFeatures:
+def preprocess_session(session: Session) -> SessionFeatures:
     """Compute spectrograms and location windows for every minute of a session."""
-    bands = bands or band_table()
+    bands = band_table()
     minutes = session.n_minutes
     placements = tuple(sorted(session.accel))
     specs = np.zeros((len(placements), minutes, 51, 51, 2))

@@ -13,7 +13,7 @@ from .hmm import estimate_transitions, viterbi_streams
 from .metrics import ClassificationMetrics, classification_metrics, roc_curve
 from .model import TransportModeClassifier
 from .splits import loso_folds, split_bags
-from .train import TrainConfig, TrainHistory, _model_inputs, predict_dataset, train_fold
+from .train import PREDICT_BATCH, TrainConfig, TrainHistory, _model_inputs, predict_dataset, train_fold
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -192,12 +192,7 @@ def run_experiment(
     return report
 
 
-def attention_report(
-    model: TransportModeClassifier,
-    dataset: BagDataset,
-    indices: np.ndarray,
-    batch_size: int = 128,
-) -> dict:
+def attention_report(model: TransportModeClassifier, dataset: BagDataset, indices: np.ndarray) -> dict:
     """Attention interpretability tables.
 
     Returns per-class rows (one per mode, in mode order):
@@ -215,8 +210,8 @@ def attention_report(
     modality: dict[int, list[tuple[float, float]]] = {c: [] for c in range(N_MODES)}
     placement_share: dict[int, list[dict[str, float]]] = {c: [] for c in range(N_MODES)}
     indices = np.asarray(indices, dtype=np.int64)
-    for lo in range(0, len(indices), batch_size):
-        chunk = indices[lo : lo + batch_size]
+    for lo in range(0, len(indices), PREDICT_BATCH):
+        chunk = indices[lo : lo + PREDICT_BATCH]
         result = model.predict(**_model_inputs(model, dataset.batch(chunk)))
         for b, i in enumerate(chunk):
             ref = dataset.refs[i]

@@ -75,26 +75,22 @@ class MinuteGrid:
     available: np.ndarray
 
 
-def fill_gaps(
-    stream: LocStream,
-    grid_start: float,
-    n_slots: int,
-    slot_seconds: float = SLOT_SECONDS,
-) -> MinuteGrid:
-    """Snap fixes to the minute grid, interpolating only across short losses.
+def fill_gaps(stream: LocStream, grid_start: float, n_slots: int) -> MinuteGrid:
+    """Snap fixes to the grid of ``SLOT_SECONDS`` slots, interpolating only across
+    short losses.
 
     A slot is directly covered when a fix lies within half a slot of its
     tick. Runs of at most two uncovered slots between covered ones are filled
     by linear interpolation of latitude/longitude; longer runs and uncovered
     slots at the stream edges are flagged unavailable and left at 0.
     """
-    ticks = grid_start + slot_seconds * np.arange(n_slots)
+    ticks = grid_start + SLOT_SECONDS * np.arange(n_slots)
     lats = np.zeros(n_slots)
     lons = np.zeros(n_slots)
     covered = np.zeros(n_slots, dtype=bool)
     if len(stream.times):
-        slot = np.rint((stream.times - grid_start) / slot_seconds).astype(np.int64)
-        near = np.abs(stream.times - (grid_start + slot * slot_seconds)) <= slot_seconds / 2.0
+        slot = np.rint((stream.times - grid_start) / SLOT_SECONDS).astype(np.int64)
+        near = np.abs(stream.times - (grid_start + slot * SLOT_SECONDS)) <= SLOT_SECONDS / 2.0
         best = np.full(n_slots, np.inf)
         for i in np.nonzero(near & (slot >= 0) & (slot < n_slots))[0]:
             s = slot[i]

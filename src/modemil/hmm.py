@@ -27,18 +27,19 @@ __all__ = [
 EMISSION_FLOOR = 1e-7
 
 
-def estimate_transitions(label_sequences, n_states: int = N_MODES, alpha: float = 1.0) -> np.ndarray:
-    """Row-stochastic transition matrix from per-session label sequences.
+def estimate_transitions(label_sequences) -> np.ndarray:
+    """Row-stochastic ``N_MODES`` x ``N_MODES`` transition matrix from per-session
+    label sequences.
 
-    Bigrams are counted within each sequence only; ``alpha`` is the additive
-    smoothing mass that keeps unseen transitions decodable.
+    Bigrams are counted within each sequence only; every count starts at one
+    (add-one smoothing), which keeps unseen transitions decodable.
     """
     sequences = [np.asarray(s, dtype=np.int64) for s in label_sequences]
     if not sequences:
         raise ValueError("at least one labeled session is required")
-    counts = np.full((n_states, n_states), alpha, dtype=np.float64)
+    counts = np.ones((N_MODES, N_MODES))
     for seq in sequences:
-        if len(seq) and (seq.min() < 0 or seq.max() >= n_states):
+        if len(seq) and (seq.min() < 0 or seq.max() >= N_MODES):
             raise ValueError("label outside the state alphabet")
         if len(seq) >= 2:
             np.add.at(counts, (seq[:-1], seq[1:]), 1.0)
@@ -94,10 +95,10 @@ def viterbi_streams(probs, sessions, streams, targets, transitions: np.ndarray) 
     return smoothed
 
 
-def save_transitions(path, transitions: np.ndarray, modes: tuple[str, ...] = MODES) -> None:
-    """Write the matrix as text: a mode-order header line then 8 numeric rows."""
+def save_transitions(path, transitions: np.ndarray) -> None:
+    """Write the matrix as text: a ``MODES``-order header line then 8 numeric rows."""
     transitions = np.asarray(transitions, dtype=np.float64)
-    lines = ["# " + " ".join(modes)]
+    lines = ["# " + " ".join(MODES)]
     for row in transitions:
         lines.append(" ".join(f"{v:.17g}" for v in row))
     Path(path).write_text("\n".join(lines) + "\n")

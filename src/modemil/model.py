@@ -52,6 +52,8 @@ __all__ = [
 
 EMBED_DIM = 256
 ATTENTION_DIM = 256
+LSTM_CELLS = 128
+HEAD_HIDDEN = 128
 SPEC_SHAPE = (51, 51, 2)
 LOC_SEQ_SHAPE = (10, 2)
 N_LOC_SCALARS = 5
@@ -116,12 +118,11 @@ class LocEncoder(Module):
     final states concatenated with the five scalar features (261-d), then
     three 256-wide dense blocks."""
 
-    def __init__(self, rng: np.random.Generator, n_cells: int = 128):
+    def __init__(self, rng: np.random.Generator):
         super().__init__()
         self.input_norm = BatchNorm(2)
-        self.lstm = BiLSTM(2, n_cells, rng)
-        width = 2 * n_cells + N_LOC_SCALARS
-        self.fc1 = Dense(width, EMBED_DIM, rng)
+        self.lstm = BiLSTM(2, LSTM_CELLS, rng)
+        self.fc1 = Dense(2 * LSTM_CELLS + N_LOC_SCALARS, EMBED_DIM, rng)
         self.norm1 = BatchNorm(EMBED_DIM)
         self.fc2 = Dense(EMBED_DIM, EMBED_DIM, rng)
         self.norm2 = BatchNorm(EMBED_DIM)
@@ -159,10 +160,12 @@ def fuse(embeddings: Tensor, weights: Tensor) -> Tensor:
 
 
 class AttentionPool(Module):
-    """Gated attention MIL pool mapping (batch, n, d) bags to (batch, d)."""
+    """Gated attention MIL pool mapping (batch, n, ``EMBED_DIM``) bags to (batch,
+    ``EMBED_DIM``) through ``ATTENTION_DIM``-wide gates."""
 
-    def __init__(self, rng: np.random.Generator, d: int = EMBED_DIM, inner: int = ATTENTION_DIM):
+    def __init__(self, rng: np.random.Generator):
         super().__init__()
+        d, inner = EMBED_DIM, ATTENTION_DIM
         self.v_proj = Tensor(glorot_uniform(rng, (d, inner), d, inner), requires_grad=True)
         self.u_proj = Tensor(glorot_uniform(rng, (d, inner), d, inner), requires_grad=True)
         self.score = Tensor(glorot_uniform(rng, (inner, 1), inner, 1), requires_grad=True)
@@ -178,11 +181,11 @@ class AttentionPool(Module):
 class ClassifierHead(Module):
     """Dense block (to 128, batch norm, ReLU) then a dense layer to 8 logits."""
 
-    def __init__(self, rng: np.random.Generator, n_in: int = EMBED_DIM, hidden: int = 128):
+    def __init__(self, rng: np.random.Generator, n_in: int = EMBED_DIM):
         super().__init__()
-        self.fc1 = Dense(n_in, hidden, rng)
-        self.norm = BatchNorm(hidden)
-        self.fc2 = Dense(hidden, N_MODES, rng)
+        self.fc1 = Dense(n_in, HEAD_HIDDEN, rng)
+        self.norm = BatchNorm(HEAD_HIDDEN)
+        self.fc2 = Dense(HEAD_HIDDEN, N_MODES, rng)
 
     def __call__(self, z: Tensor, training: bool) -> Tensor:
         training = training and not self._frozen

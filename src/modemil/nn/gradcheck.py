@@ -8,29 +8,25 @@ from .tensor import Tensor
 
 __all__ = ["grad_check"]
 
+STEP = 1e-5  # central-difference step h; each probe also runs at h/2
+FLOOR = 1e-3  # relative errors divide by at least this
+SMOOTH_TOL = 1e-4  # largest relative h vs h/2 disagreement of a smooth probe
 
-def grad_check(
-    f,
-    params: list[Tensor],
-    h: float = 1e-5,
-    max_coords: int = 16,
-    rng: np.random.Generator | None = None,
-    floor: float = 1e-3,
-    smooth_tol: float = 1e-4,
-) -> float:
+
+def grad_check(f, params: list[Tensor], max_coords: int = 16, rng: np.random.Generator | None = None) -> float:
     """Compare reverse-mode gradients of ``f()`` against central differences.
 
     ``f`` rebuilds the graph on every call and returns a scalar Tensor that
     depends on the leaf tensors in ``params``. Up to ``max_coords``
     coordinates per parameter are probed (all of them for small tensors).
     Returns the maximum relative error observed, where the relative error of
-    a pair (a, b) is |a - b| / max(|a|, |b|, floor); the floor keeps
+    a pair (a, b) is |a - b| / max(|a|, |b|, FLOOR); the floor keeps
     finite-difference rounding noise from dominating coordinates whose true
     gradient is zero.
 
     Central differences are only meaningful where the objective is locally
-    smooth. Each probe therefore runs at steps h and h/2; when the two
-    estimates disagree beyond ``smooth_tol`` (relative, same floor) the
+    smooth. Each probe therefore runs at steps h = ``STEP`` and h/2; when the two
+    estimates disagree beyond ``SMOOTH_TOL`` (relative, same floor) the
     perturbation crossed an activation kink (ReLU zero, max-pool argmax swap)
     and the coordinate is excluded from the comparison. A wrong analytic
     gradient still fails: away from kinks both step sizes agree with each
@@ -61,11 +57,11 @@ def grad_check(
                 flat[c] = original
                 return (plus - minus) / (2.0 * step)
 
-            numeric = probe(h)
-            half = probe(h / 2.0)
-            if abs(numeric - half) > smooth_tol * max(abs(numeric), abs(half), floor):
+            numeric = probe(STEP)
+            half = probe(STEP / 2.0)
+            if abs(numeric - half) > SMOOTH_TOL * max(abs(numeric), abs(half), FLOOR):
                 continue  # non-smooth locally; the estimate is meaningless here
             a = ga.reshape(-1)[c]
-            err = abs(a - numeric) / max(abs(a), abs(numeric), floor)
+            err = abs(a - numeric) / max(abs(a), abs(numeric), FLOOR)
             worst = max(worst, err)
     return worst

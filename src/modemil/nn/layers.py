@@ -136,7 +136,8 @@ class Dense(Module):
 
 def _conv_blocks(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, cols=None, out=None):
     """Same-padded stride-1 cross-correlation, im2col and gemm ``CONV_BLOCK`` images at a
-    time. ``cols`` and ``out`` each hold the whole batch or one reused block (by default);
+    time; each block is copied into one zero-bordered buffer, so the batch is never padded
+    whole. ``cols`` and ``out`` each hold the whole batch or one reused block (by default);
     yields each block's image range ``lo, hi`` and its (hi - lo, H, W, c_out) output."""
     batch, height, width, c_in = x.shape
     k_h, k_w, kc_in, c_out = kernel.shape
@@ -147,16 +148,17 @@ def _conv_blocks(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, cols=None,
     if height < k_h or width < k_w:
         raise ValueError("spatial extent smaller than the kernel")
     pad = k_h // 2
-    padded = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    cols = np.empty((min(batch, CONV_BLOCK), height, width, k_h, k_w, c_in)) if cols is None else cols
+    out = np.empty((min(batch, CONV_BLOCK), height, width, c_out)) if out is None else out
+    padded = np.zeros((min(batch, CONV_BLOCK), height + 2 * pad, width + 2 * pad, c_in))  # border never written
     # im2col: each pixel's (k, k) window of all channels, in the kernel's (k, k, c_in) order
     windows = np.lib.stride_tricks.sliding_window_view(padded, (k_h, k_w), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
     k_flat = kernel.reshape(-1, c_out)
-    cols = np.empty((min(batch, CONV_BLOCK),) + windows.shape[1:]) if cols is None else cols
-    out = np.empty((min(batch, CONV_BLOCK), height, width, c_out)) if out is None else out
     for lo in range(0, batch, CONV_BLOCK):  # a gemm split by rows sums each output alike (tested)
         hi = min(lo + CONV_BLOCK, batch)
         block, out_block = (buf[lo:hi] if len(buf) == batch else buf[: hi - lo] for buf in (cols, out))
-        block[...] = windows[lo:hi]
+        padded[: hi - lo, pad : pad + height, pad : pad + width] = x[lo:hi]
+        block[...] = windows[: hi - lo]
         np.matmul(block.reshape(-1, k_flat.shape[0]), k_flat, out=out_block.reshape(-1, c_out))
         out_block += bias
         yield lo, hi, out_block
@@ -203,14 +205,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 
 
 class Conv2D(Module):
-    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator, kernel_size: int = 3):
+    """Same-padded 3x3 convolution with a Glorot-uniform kernel."""
+
+    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
         super().__init__()
-        fan_in = kernel_size * kernel_size * c_in
-        fan_out = kernel_size * kernel_size * c_out
-        self.kernel = Tensor(
-            glorot_uniform(rng, (kernel_size, kernel_size, c_in, c_out), fan_in, fan_out),
-            requires_grad=True,
-        )
+        self.kernel = Tensor(glorot_uniform(rng, (3, 3, c_in, c_out), 9 * c_in, 9 * c_out), requires_grad=True)
         self.bias = Tensor(np.zeros(c_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -256,14 +255,15 @@ class BatchNorm(Module):
 
     Training mode uses batch statistics and updates running estimates with a
     keep rate of ``momentum``; inference mode (and frozen subtrees) use the
-    running estimates only.
+    running estimates only. ``eps`` is added to the variance.
     """
 
-    def __init__(self, n_channels: int, eps: float = 1e-5, momentum: float = 0.9):
+    eps = 1e-5
+    momentum = 0.9
+
+    def __init__(self, n_channels: int):
         super().__init__()
         self.n_channels = n_channels
-        self.eps = eps
-        self.momentum = momentum
         self.gain = Tensor(np.ones(n_channels), requires_grad=True)
         self.bias = Tensor(np.zeros(n_channels), requires_grad=True)
         self._buffers["running_mean"] = np.zeros(n_channels)

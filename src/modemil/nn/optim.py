@@ -18,18 +18,21 @@ class Adam:
 
     State holds one first/second moment accumulator per parameter plus the
     step counter. A non-finite gradient rejects the whole step before any
-    state or parameter is touched.
+    state or parameter is touched; the error names the parameter by its key
+    when ``params`` is a ``{name: tensor}`` mapping, else by its index.
     """
 
     def __init__(
         self,
-        params: list[Tensor],
+        params: list[Tensor] | dict[str, Tensor],
         lr: float = 1e-4,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
-        self.params = list(params)
+        named = params if isinstance(params, dict) else {f"parameter {i}": p for i, p in enumerate(params)}
+        self.names = list(named)
+        self.params = list(named.values())
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -44,10 +47,10 @@ class Adam:
 
     def step(self) -> None:
         grads = []
-        for i, p in enumerate(self.params):
+        for name, p in zip(self.names, self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if not np.all(np.isfinite(g)):
-                raise NonFiniteGradient(f"non-finite gradient in parameter {i} (shape {p.data.shape})")
+                raise NonFiniteGradient(f"non-finite gradient in {name} (shape {p.data.shape})")
             grads.append(g)
         self.step_count += 1
         c1 = 1.0 - self.beta1**self.step_count

@@ -28,6 +28,7 @@ __all__ = [
     "cce_loss",
 ]
 
+LOSS_EPS = 1e-7
 _grad_enabled = True
 
 
@@ -406,19 +407,19 @@ def softmax(a, axis: int = -1) -> Tensor:
 # -- loss -----------------------------------------------------------------------
 
 
-def cce_loss(probs: Tensor, labels, eps: float = 1e-7) -> Tensor:
+def cce_loss(probs: Tensor, labels) -> Tensor:
     """Categorical cross-entropy on per-class probabilities.
 
     ``probs`` holds values in (0, 1) per class (here: sigmoid outputs). For a
     single vector the loss is -log(probs[label]); for a (batch, classes) matrix
-    it is the batch mean. Probabilities are clamped to [eps, 1 - eps].
+    it is the batch mean. Probabilities are clamped to [LOSS_EPS, 1 - LOSS_EPS].
     """
     probs = _wrap(probs)
     n_classes = probs.shape[-1]
     labels_arr = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     if labels_arr.min() < 0 or labels_arr.max() >= n_classes:
         raise ValueError(f"labels must lie in [0, {n_classes}), got {labels}")
-    clamped = clip(probs, eps, 1.0 - eps)
+    clamped = clip(probs, LOSS_EPS, 1.0 - LOSS_EPS)
     if probs.ndim == 1:
         picked = clamped[(labels_arr,)]
     elif probs.ndim == 2:

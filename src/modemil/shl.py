@@ -159,15 +159,15 @@ def ingest(
     return sessions
 
 
-def ingest_report(sessions: list[Session], placements: tuple[str, ...] = PLACEMENTS) -> dict:
-    """Counts in the shape the dataset documentation quotes them."""
-    frames = {p: 0 for p in placements}
+def ingest_report(sessions: list[Session]) -> dict:
+    """Counts in the shape the dataset documentation quotes them, over ``PLACEMENTS``."""
+    frames = {p: 0 for p in PLACEMENTS}
     missing = []
     labels = 0
     location_windows = 0
     for s in sessions:
         labels += int(np.sum(s.labels != UNLABELED))
-        for p in placements:
+        for p in PLACEMENTS:
             if p in s.accel:
                 frames[p] += len(s.accel[p]) // SAMPLES_PER_MINUTE
             else:

@@ -3,10 +3,11 @@
 Splitting by individual windows would leak: neighboring windows overlap
 heavily, so random assignment puts near-duplicates on both sides. The unit
 of assignment is therefore a stream: a maximal run of identically labeled
-minutes, capped at 30 minutes. Development streams are packed greedily per
-class toward an 80/20 train/validation split; a bag joins a side only when
-its whole 12-minute span lies in streams of that side, so train and
-validation window intervals never intersect.
+minutes, capped at ``STREAM_CAP_MINUTES`` (30). Development streams are packed
+greedily per class toward an 80/20 train/validation split (``VAL_FRACTION``
+of the minutes validate); a bag joins a side only when its whole 12-minute
+span lies in streams of that side, so train and validation window intervals
+never intersect.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .geo import WINDOW_MINUTES
 __all__ = ["StreamRef", "SplitSpec", "label_streams", "loso_folds", "split_bags"]
 
 STREAM_CAP_MINUTES = 30
+VAL_FRACTION = 0.2  # share of each class's development minutes held for validation
 TRAIN = 0
 VAL = 1
 NONE = -1
@@ -51,8 +53,8 @@ class SplitSpec:
     seed: int
 
 
-def label_streams(features: list[SessionFeatures], cap: int = STREAM_CAP_MINUTES) -> list[StreamRef]:
-    """Maximal single-label runs per session, chopped to at most ``cap`` minutes."""
+def label_streams(features: list[SessionFeatures]) -> list[StreamRef]:
+    """Maximal single-label runs per session, chopped to at most ``STREAM_CAP_MINUTES``."""
     streams: list[StreamRef] = []
     for s, feat in enumerate(features):
         labels = feat.labels
@@ -64,22 +66,15 @@ def label_streams(features: list[SessionFeatures], cap: int = STREAM_CAP_MINUTES
             stop = m
             while stop < len(labels) and labels[stop] == labels[m]:
                 stop += 1
-            for piece in range(m, stop, cap):
-                streams.append(
-                    StreamRef(session=s, start=piece, stop=min(piece + cap, stop), label=int(labels[m]), user=feat.user)
-                )
+            for piece in range(m, stop, STREAM_CAP_MINUTES):
+                end = min(piece + STREAM_CAP_MINUTES, stop)
+                streams.append(StreamRef(session=s, start=piece, stop=end, label=int(labels[m]), user=feat.user))
             m = stop
     return streams
 
 
-def _stream_weight(stream: StreamRef) -> float:
-    return float(stream.minutes)
-
-
-def _pack_dev_streams(
-    streams: list[StreamRef], seed: int, val_fraction: float
-) -> tuple[list[StreamRef], list[StreamRef]]:
-    """Greedy per-class balance toward the validation fraction.
+def _pack_dev_streams(streams: list[StreamRef], seed: int) -> tuple[list[StreamRef], list[StreamRef]]:
+    """Greedy per-class balance toward ``VAL_FRACTION`` of the minutes in validation.
 
     Streams are taken largest-first (ties shuffled by seed) and each goes to
     the relatively emptier side, so every class ends close to the same
@@ -97,11 +92,11 @@ def _pack_dev_streams(
         group = by_label[label]
         order = rng.permutation(len(group))
         group = [group[i] for i in order]
-        group.sort(key=lambda s: -_stream_weight(s))  # stable: ties stay shuffled
+        group.sort(key=lambda s: -s.minutes)  # stable: ties stay shuffled
         val_w = train_w = 0.0
         for stream in group:
-            w = _stream_weight(stream)
-            if len(group) > 1 and val_w * (1.0 - val_fraction) < train_w * val_fraction:
+            w = float(stream.minutes)
+            if len(group) > 1 and val_w * (1.0 - VAL_FRACTION) < train_w * VAL_FRACTION:
                 val.append(stream)
                 val_w += w
             else:
@@ -110,8 +105,9 @@ def _pack_dev_streams(
     return train, val
 
 
-def loso_folds(features: list[SessionFeatures], seed: int = 0, val_fraction: float = 0.2) -> list[SplitSpec]:
-    """One fold per user: that user tests, the rest split 80/20 by streams."""
+def loso_folds(features: list[SessionFeatures], seed: int = 0) -> list[SplitSpec]:
+    """One fold per user: that user tests, the rest split by streams with
+    ``VAL_FRACTION`` (20%) of each class's minutes in validation."""
     users = sorted({feat.user for feat in features})
     if len(users) < 2:
         raise ValueError("leave-one-user-out needs at least two users")
@@ -119,7 +115,7 @@ def loso_folds(features: list[SessionFeatures], seed: int = 0, val_fraction: flo
     folds = []
     for i, test_user in enumerate(users):
         dev = [s for s in streams if s.user != test_user]
-        train, val = _pack_dev_streams(dev, seed + i, val_fraction)
+        train, val = _pack_dev_streams(dev, seed + i)
         folds.append(SplitSpec(test_user=test_user, train_streams=train, val_streams=val, seed=seed))
     return folds
 

@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 PRETRAIN_MODES = ("none", "loc", "accel", "both")
+PREDICT_BATCH = 128  # bags per inference chunk
 _FIELD_TYPES = {"str": str, "bool": bool, "int": int, "float": (int, float)}
 
 
@@ -123,7 +124,7 @@ def predict_dataset(
     model: TransportModeClassifier,
     dataset: BagDataset,
     indices: np.ndarray,
-    batch_size: int = 128,
+    batch_size: int = PREDICT_BATCH,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inference probabilities and labels for the given bag indices."""
     probs = np.empty((len(indices), 8))
@@ -169,7 +170,7 @@ def train_model(
     augment_rng = np.random.default_rng(seeds[2]) if config.augment and model.uses_accel else None
     placement_rng = np.random.default_rng(seeds[3]) if config.resample_placement else None
 
-    optimizer = Adam(model.parameters(), lr=config.lr)
+    optimizer = Adam(dict(model.named_parameters()), lr=config.lr)
     best_state: dict | None = None
     best_loss = np.inf
     since_best = 0
@@ -189,7 +190,7 @@ def train_model(
             loss.backward()
             optimizer.step()
             epoch_losses.append(float(loss.data))
-        val_loss, val_acc = _validate(model, dataset, val_idx, batch_size=max(config.batch_size, 128))
+        val_loss, val_acc = _validate(model, dataset, val_idx, batch_size=max(config.batch_size, PREDICT_BATCH))
         history.train_loss.append(float(np.mean(epoch_losses)))
         history.val_loss.append(val_loss)
         history.val_accuracy.append(val_acc)

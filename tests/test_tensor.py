@@ -1,8 +1,15 @@
 """Autodiff primitives: forward values, gradients, and the loss contract."""
 
+import ctypes
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import modemil
 from modemil.nn import Tensor, cce_loss, grad_check, no_grad
 from modemil.nn.tensor import clip, concat, log, relu, sigmoid, softmax, tanh
 
@@ -198,3 +205,33 @@ def test_sigmoid_keeps_the_bits_of_the_three_exp_form():
     x = np.concatenate([specials, np.random.default_rng(9).normal(scale=20.0, size=500)])
     reference = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
     assert sigmoid(Tensor(x)).data.tobytes() == reference.tobytes()
+
+
+_MALLINFO2 = """
+import ctypes
+import numpy as np
+import modemil.nn
+
+class Info(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL("libc.so.6").mallinfo2
+mallinfo2.argtypes, mallinfo2.restype = [], Info
+before = mallinfo2().hblkhd
+buffer = np.empty(64 << 20, dtype=np.uint8)
+print(mallinfo2().hblkhd - before)
+"""
+
+
+def test_import_leaves_the_allocator_alone():
+    # Importing the toolkit must not retune the host process's malloc: a 64 MiB
+    # array still gets its own mapping (glibc's default), seen as mmapped bytes.
+    try:
+        ctypes.CDLL("libc.so.6").mallinfo2
+    except (OSError, AttributeError):
+        pytest.skip("needs glibc >= 2.33 (mallinfo2)")
+    src = str(Path(modemil.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _MALLINFO2], capture_output=True, text=True, check=True, env=env)
+    assert int(out.stdout) >= 64 << 20

@@ -6,7 +6,7 @@ import pytest
 from modemil.bags import build_bags, build_windows, preprocess_session
 from modemil.metrics import auc, classification_metrics, confusion_matrix, roc_curve
 from modemil.model import TransportModeClassifier
-from modemil.nn import cce_loss, no_grad
+from modemil.nn import NonFiniteGradient, Tensor, cce_loss, no_grad
 from modemil.splits import loso_folds, split_bags
 from modemil.synth import SynthConfig, synth_generate
 from modemil.train import (
@@ -82,6 +82,19 @@ class TestTrainLoop:
         # a poisoned encoder weight contaminates every class probability
         model.loc_encoder.fc1.weight.data[0, 0] = np.nan
         with pytest.raises(TrainingDiverged):
+            train_model(model, bags, train_idx, val_idx, TrainConfig(arch="loc_lstm", max_epochs=1, seed=0))
+
+    def test_nonfinite_gradient_names_the_parameter(self, toy, monkeypatch):
+        _, bags, _, train_idx, val_idx, _ = toy
+        model = TransportModeClassifier("loc_lstm", seed=0)
+        backward = Tensor.backward
+
+        def poisoned(self, grad=None):  # the loss stays finite, one gradient entry does not
+            backward(self, grad)
+            model.loc_encoder.fc2.bias.grad[0] = np.nan
+
+        monkeypatch.setattr(Tensor, "backward", poisoned)
+        with pytest.raises(NonFiniteGradient, match=r"in loc_encoder\.fc2\.bias \(shape \(256,\)\)"):
             train_model(model, bags, train_idx, val_idx, TrainConfig(arch="loc_lstm", max_epochs=1, seed=0))
 
     def test_empty_sides_are_rejected(self, toy):
