@@ -4,7 +4,8 @@ The operation set is deliberately small: exactly what the two encoders, the
 gated attention pool, the classifier and the cross-entropy loss need, namely
 add, subtract, negate, multiply, matmul, reshape, indexing, concat, sum, mean,
 relu, tanh, sigmoid, log, clip, softmax and ``cce_loss``. Convolution,
-max-pool and batch norm are single nodes built in ``layers``. All data lives in row-major numpy arrays in double precision, which keeps
+max-pool, batch norm and the Bi-LSTM are single nodes built in ``layers``.
+All data lives in row-major numpy arrays in double precision, which keeps
 finite-difference gradient checks tight.
 """
 
@@ -355,11 +356,15 @@ def tanh(a) -> Tensor:
     return make_node(out_data, (a,), backward)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    small = np.exp(-np.abs(x))  # never overflows
+    denom = 1.0 + small
+    return np.where(x >= 0.0, 1.0 / denom, small / denom)
+
+
 def sigmoid(a) -> Tensor:
     a = _wrap(a)
-    x = a.data
-    small = np.exp(-np.abs(x))  # never overflows
-    out_data = np.where(x >= 0.0, 1.0 / (1.0 + small), small / (1.0 + small))
+    out_data = _sigmoid(a.data)
 
     def backward(grad):
         if a.requires_grad:
