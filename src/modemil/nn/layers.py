@@ -4,8 +4,11 @@ Layout conventions: images are channels-last ``(batch, height, width,
 channels)``, sequences are ``(batch, time, features)``, dense activations are
 ``(batch, features)``. Batch normalization always normalizes the trailing
 axis over all leading axes.
-``conv_block`` (conv, batch norm, 2x2 max-pool, ReLU) runs ``CONV_BLOCK``
-images at a time end to end at inference, with the chain's bits. ``BiLSTM``
+``conv_block`` (conv, batch norm, 2x2 max-pool, ReLU) is one node with a
+hand-written backward in training, equal to the chain of standalone nodes up
+to rounding; at inference it runs ``CONV_BLOCK`` images at a time end to end,
+with the chain's bits. The standalone ``conv2d``, ``BatchNorm`` and
+``max_pool`` serve the rest of the model and the per-layer probes. ``BiLSTM``
 is one node with a hand-written backward through time, with the bits of the
 per-step graph.
 """
@@ -15,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor
-from .tensor import Tensor, _sigmoid, make_node, relu
+from .tensor import Tensor, _sigmoid, make_node
 
 __all__ = [
     "Module",
@@ -36,7 +39,7 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int
     return rng.uniform(-limit, limit, size=shape)
 
 
-CONV_BLOCK = 16  # images per im2col gemm (conv2d, inference conv_block); bounds the column buffer
+CONV_BLOCK = 16  # images per im2col gemm and per conv_block pass; bounds the block buffers
 
 
 class Module:
@@ -175,7 +178,6 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """
     batch, height, width, c_in = x.shape
     k_h, k_w, _, c_out = kernel.shape
-    pad = k_h // 2
     keep_cols = tensor._grad_enabled and kernel.requires_grad  # the flag make_node reads
     cols = np.empty((batch, height, width, k_h, k_w, c_in)) if keep_cols else None
     out_data = np.empty((batch, height, width, c_out))
@@ -183,27 +185,37 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         pass
 
     def backward(grad):
-        grad_flat = grad.reshape(batch * height * width, c_out)
-        if kernel.requires_grad:
-            kernel._accumulate((cols.reshape(-1, k_h * k_w * c_in).T @ grad_flat).reshape(kernel.shape))
         if bias.requires_grad:
-            bias._accumulate(grad_flat.sum(axis=0))
-        if x.requires_grad:
-            # Input gradient tap by tap: one gemm per kernel offset, added
-            # into the clipped region the padded slice actually overlaps.
-            dx = np.zeros_like(x.data)
-            tap = np.empty((batch * height * width, c_in))
-            for i in range(k_h):
-                for j in range(k_w):
-                    np.matmul(grad_flat, kernel.data[i, j].T, out=tap)
-                    di, dj = i - pad, j - pad
-                    src = tap.reshape(batch, height, width, c_in)[
-                        :, max(0, -di) : height - max(0, di), max(0, -dj) : width - max(0, dj), :
-                    ]
-                    dx[:, max(0, di) : height - max(0, -di), max(0, dj) : width - max(0, -dj), :] += src
-            x._accumulate(dx)
+            bias._accumulate(grad.reshape(-1, c_out).sum(axis=0))
+        _conv_backward(x, kernel, cols, grad)
 
     return make_node(out_data, (x, kernel, bias), backward)
+
+
+def _conv_backward(x: Tensor, kernel: Tensor, cols: np.ndarray | None, grad: np.ndarray) -> None:
+    """Push ``grad``, the (batch, H, W, c_out) output gradient of a same-padded conv of ``x``,
+    into ``kernel`` (one gemm on its kept im2col ``cols``) and into ``x``, each if it requires
+    one; the bias gradient is the caller's."""
+    batch, height, width, c_in = x.shape
+    k_h, k_w, _, c_out = kernel.shape
+    pad = k_h // 2
+    grad_flat = grad.reshape(batch * height * width, c_out)
+    if kernel.requires_grad:
+        kernel._accumulate((cols.reshape(-1, k_h * k_w * c_in).T @ grad_flat).reshape(kernel.shape))
+    if x.requires_grad:
+        # Input gradient tap by tap: one gemm per kernel offset, added
+        # into the clipped region the padded slice actually overlaps.
+        dx = np.zeros_like(x.data)
+        tap = np.empty((batch * height * width, c_in))
+        for i in range(k_h):
+            for j in range(k_w):
+                np.matmul(grad_flat, kernel.data[i, j].T, out=tap)
+                di, dj = i - pad, j - pad
+                src = tap.reshape(batch, height, width, c_in)[
+                    :, max(0, -di) : height - max(0, di), max(0, -dj) : width - max(0, dj), :
+                ]
+                dx[:, max(0, di) : height - max(0, -di), max(0, dj) : width - max(0, -dj), :] += src
+        x._accumulate(dx)
 
 
 class Conv2D(Module):
@@ -348,14 +360,57 @@ class BatchNorm(Module):
         return make_node(out_data.reshape(x.shape), (x, gain, bias), backward)
 
 
+def _channel_sum(data: np.ndarray) -> np.ndarray:
+    """Per-channel sum of a (..., W, C) map: its (rows, W*C) view summed over rows, then the
+    W groups folded. Summing an (N*H*W, C) view with C = 16-64 is several times slower."""
+    width, channels = data.shape[-2:]
+    return data.reshape(-1, width * channels).sum(axis=0).reshape(width, channels).sum(axis=0)
+
+
+def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-channel sum of ``a * b`` over two (..., W, C) maps, reduced as ``_channel_sum``."""
+    width, channels = a.shape[-2:]
+    wide = width * channels
+    return np.einsum("ij,ij->j", a.reshape(-1, wide), b.reshape(-1, wide)).reshape(width, channels).sum(axis=0)
+
+
+def _first_winners(quads: list[np.ndarray], pooled: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` (uint8) which of ``_pool``'s four views holds each 2x2 block's first
+    maximum, NaN counting as one: argmax's pick, the element the gradient is routed to. It
+    counts the leading views that lose, those neither equal to the maximum nor NaN."""
+    nan = np.isnan(pooled).any()  # a 2x2 maximum is NaN exactly when one of its four is
+    lost = np.ones(pooled.shape, dtype=bool)
+    out[...] = 0
+    for quad in quads[:3]:
+        lost &= quad != pooled
+        if nan:
+            lost &= quad == quad
+        out += lost
+
+
 def conv_block(h: Tensor, conv: Conv2D, norm: BatchNorm, training: bool) -> Tensor:
-    """``relu(max_pool(norm(conv(h), training)))``: that chain of nodes while a graph is
-    recorded or batch norm uses batch statistics. Otherwise (inference, a frozen block)
-    each ``CONV_BLOCK`` images run gemm, batch norm in place, the 2x2 max into the
-    quarter-size result and ReLU while in cache: no full-size map, the chain's bits."""
+    """``relu(max_pool(norm(conv(h), training)))`` of ``h`` (batch, H, W, c_in): (batch, H // 2,
+    W // 2, c_out), with two paths and no full-size normalized map on either.
+
+    While a graph is recorded or batch norm uses batch statistics it is one node with a
+    hand-written backward. The forward keeps the conv output ``y`` (and the im2col columns
+    for a kernel gradient), takes each ``CONV_BLOCK``-image block's per-channel sums while it
+    is in cache, then normalizes one block at a time into a reused buffer, pools it into the
+    result with each block's first winner as a uint8 index, and applies ReLU. The backward
+    scatters the pooled gradient to the winners once, as the map gradient ``dy``, and finishes
+    it in place with the closed-form batch-norm gradient ``A*g + B*y + C`` (Ioffe & Szegedy,
+    arXiv:1502.03167; B = C = 0 on running statistics). The values are the chain's up to
+    rounding, as the reductions run in another order. Before batch statistics the conv bias
+    gets only that rounding: its exact gradient is zero.
+
+    Otherwise (inference, a frozen block) each ``CONV_BLOCK`` images run gemm, batch norm in
+    place, the 2x2 max into the quarter-size result and ReLU while in cache, with the bits of
+    the chain at inference."""
     parents = (h, conv.kernel, conv.bias, norm.gain, norm.bias)
-    if (training and not norm.frozen) or (tensor._grad_enabled and any(p.requires_grad for p in parents)):
-        return relu(max_pool(norm(conv(h), training)))
+    record = tensor._grad_enabled and any(p.requires_grad for p in parents)  # make_node's test for a node
+    batch_stats = training and not norm.frozen
+    if record or batch_stats:
+        return _conv_block_node(h, conv, norm, batch_stats, record)
     batch, height, width, _ = h.shape
     pooled = np.empty((batch, height // 2, width // 2, conv.kernel.shape[-1]))
     for lo, hi, out in _conv_blocks(h.data, conv.kernel.data, conv.bias.data):
@@ -364,6 +419,81 @@ def conv_block(h: Tensor, conv: Conv2D, norm: BatchNorm, training: bool) -> Tens
         block = _pool(out, pooled[lo:hi])[0]
         np.maximum(block, 0.0, out=block)
     return Tensor(pooled)
+
+
+def _conv_block_node(h: Tensor, conv: Conv2D, norm: BatchNorm, batch_stats: bool, record: bool) -> Tensor:
+    """``conv_block`` as one graph node; ``record`` keeps what the backward needs."""
+    kernel, conv_bias, gain, norm_bias = conv.kernel, conv.bias, norm.gain, norm.bias
+    if batch_stats and h.shape[0] < 2:
+        raise ValueError("batch normalization needs a batch size >= 2 in training mode")
+    batch, height, width, _ = h.shape
+    y = np.empty((batch, height, width, kernel.shape[-1]))
+    _, tile = norm._wide(y)  # checks the channel count
+    cols = np.empty((batch, height, width, *kernel.shape[:3])) if record and kernel.requires_grad else None
+    y_sum = y_sq = 0.0
+    for _, _, block in _conv_blocks(h.data, kernel.data, conv_bias.data, cols, y):
+        if batch_stats:
+            y_sum = y_sum + _channel_sum(block)
+            y_sq = y_sq + _channel_dot(block, block)
+    count = batch * height * width
+    if batch_stats:
+        mean = y_sum / count
+        var = np.maximum(y_sq / count - mean * mean, 0.0)
+        keep = norm.momentum
+        norm._buffers["running_mean"] = keep * norm._buffers["running_mean"] + (1.0 - keep) * mean
+        norm._buffers["running_var"] = keep * norm._buffers["running_var"] + (1.0 - keep) * var
+    else:
+        mean, var = norm._buffers["running_mean"], norm._buffers["running_var"]
+    inv = 1.0 / np.sqrt(var + norm.eps)
+    scale = gain.data * inv
+    tile_scale, tile_shift = tile(scale), tile(norm_bias.data - scale * mean)
+    out = np.empty((batch, height // 2, width // 2, y.shape[-1]))
+    winners = np.empty(out.shape, dtype=np.uint8) if record else None
+    normed = np.empty((min(batch, CONV_BLOCK), *y.shape[1:]))
+    for lo in range(0, batch, CONV_BLOCK):
+        hi = min(lo + CONV_BLOCK, batch)
+        wide = normed[: hi - lo].reshape(-1, tile_scale.size)
+        np.multiply(y[lo:hi].reshape(wide.shape), tile_scale, out=wide)
+        wide += tile_shift
+        pooled, blocks, quads = _pool(normed[: hi - lo], out[lo:hi])
+        if record:
+            _first_winners(quads, pooled, winners[lo:hi])
+        np.maximum(pooled, 0.0, out=pooled)
+
+    def backward(grad):
+        g = grad * (out > 0.0)
+        g_sum = _channel_sum(g)
+        dy = np.zeros_like(y)  # the dropped odd row and column get no pooled gradient
+        for q, (rows, cols_q) in enumerate(blocks):
+            np.multiply(g, winners == q, out=dy[:, rows, cols_q])
+        grad_gain = inv * (_channel_dot(dy, y) - mean * g_sum)
+        if norm_bias.requires_grad:
+            norm_bias._accumulate(g_sum)
+        if gain.requires_grad:
+            gain._accumulate(grad_gain)
+        if not (h.requires_grad or kernel.requires_grad or conv_bias.requires_grad):
+            return
+        a_coef = gain.data * inv
+        if not batch_stats:
+            dy_wide = dy.reshape(-1, tile_scale.size)
+            dy_wide *= tile(a_coef)
+        else:
+            b_coef = -a_coef * inv * grad_gain / count
+            c_coef = -a_coef * g_sum / count - b_coef * mean
+            tile_a, tile_b, tile_c = tile(a_coef), tile(b_coef), tile(c_coef)
+            b_y = np.empty_like(y[:CONV_BLOCK])  # B*y a block at a time: a full-size one costs page faults
+            for lo in range(0, batch, CONV_BLOCK):
+                hi = min(lo + CONV_BLOCK, batch)
+                dy_wide = dy[lo:hi].reshape(-1, tile_a.size)
+                dy_wide *= tile_a
+                b_y_wide = b_y[: hi - lo].reshape(dy_wide.shape)
+                dy_wide += np.multiply(y[lo:hi].reshape(dy_wide.shape), tile_b, out=b_y_wide)
+                dy_wide += tile_c
+        if conv_bias.requires_grad:
+            conv_bias._accumulate(_channel_sum(dy))
+        _conv_backward(h, kernel, cols, dy)
+
+    return make_node(out, (h, kernel, conv_bias, gain, norm_bias), backward)
 
 
 class Dropout(Module):

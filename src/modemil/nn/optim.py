@@ -17,9 +17,13 @@ class Adam:
     """Standard bias-corrected Adam.
 
     State holds one first/second moment accumulator per parameter plus the
-    step counter. A non-finite gradient rejects the whole step before any
-    state or parameter is touched; the error names the parameter by its key
-    when ``params`` is a ``{name: tensor}`` mapping, else by its index.
+    step counter. A step makes no temporaries: its ops run with ``out=`` into
+    two scratch buffers, in the order of the textbook expressions and with
+    their bits. All parameters share the buffers, so they stay in cache from
+    one parameter to the next. A non-finite gradient rejects the whole step
+    before any state or parameter is touched; the error names the parameter
+    by its key when ``params`` is a ``{name: tensor}`` mapping, else by its
+    index.
     """
 
     def __init__(
@@ -40,6 +44,7 @@ class Adam:
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+        self._scratch = np.empty((2, max((p.data.size for p in self.params), default=0)))
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -56,8 +61,16 @@ class Adam:
         c1 = 1.0 - self.beta1**self.step_count
         c2 = 1.0 - self.beta2**self.step_count
         for p, g, m, v in zip(self.params, grads, self._m, self._v):
+            step, denom = (buf[: g.size].reshape(g.shape) for buf in self._scratch)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=step)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            np.multiply(1.0 - self.beta2, g, out=step)
+            v += np.multiply(step, g, out=step)
+            # lr * (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(m, c1, out=step)
+            np.multiply(self.lr, step, out=step)
+            np.divide(v, c2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            p.data -= np.divide(step, denom, out=step)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import TransportModeClassifier
-from .nn import BatchNorm, BiLSTM, Conv2D, Dense, Dropout, Tensor, cce_loss, grad_check, max_pool
+from .nn import BatchNorm, BiLSTM, Conv2D, Dense, Dropout, Tensor, cce_loss, conv_block, grad_check, max_pool
 from .nn.tensor import relu, sigmoid, softmax, tanh
 
 __all__ = ["layer_checks", "full_model_check"]
@@ -45,6 +45,27 @@ def layer_checks(verbose: bool = False) -> float:
     xp = Tensor(rng.normal(size=(2, 6, 6, 3)), requires_grad=True)
     wp = Tensor(rng.normal(size=(2, 3, 3, 3)))
     record("max_pool", grad_check(lambda: (max_pool(xp) * wp).sum(), [xp], rng=rng))
+
+    # The conv-block node in both batch-norm modes, every coordinate probed. The 7x7
+    # extent is odd, so the pool drops a row and a column whose gradient comes only
+    # through the batch statistics. Its own rng leaves the other rows' draws as they were.
+    block_rng = np.random.default_rng(8)
+    xc = Tensor(block_rng.normal(size=(3, 7, 7, 2)), requires_grad=True)
+    block_conv, block_norm = Conv2D(2, 3, block_rng), BatchNorm(3)
+    block_norm.gain.data[...] = block_rng.normal(size=3)
+    block_norm.bias.data[...] = block_rng.normal(size=3)
+    wc = Tensor(block_rng.normal(size=(3, 3, 3, 3)))
+    block_params = [xc, block_conv.kernel, block_conv.bias, block_norm.gain, block_norm.bias]
+    for mode, training in (("train", True), ("eval", False)):
+        record(
+            f"conv_block {mode}",
+            grad_check(
+                lambda: (conv_block(xc, block_conv, block_norm, training) * wc).sum(),
+                block_params,
+                max_coords=xc.size,
+                rng=block_rng,
+            ),
+        )
 
     xd = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
     dense = Dense(8, 4, rng)

@@ -10,9 +10,12 @@ match them bit for bit, forward and backward, so equality here is exact
 cover batches on either side of a block boundary at the encoder's shapes.
 Inference runs ``conv_block`` that way end to end; its reference is the chain
 of nodes it replaces, ``relu(max_pool(norm(conv(h))))``, at the layer and at
-the model level.
+the model level. In training ``conv_block`` is one node with a hand-written
+backward that reduces in another order than that chain, so there it matches
+the chain to rounding (rtol 1e-12), not bit for bit.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -21,7 +24,7 @@ import pytest
 import modemil.model as model_module
 from modemil.model import ARCHITECTURES, WIRING, TransportModeClassifier
 from modemil.nn import BatchNorm, Conv2D, Tensor, cce_loss, conv2d, conv_block, make_node, max_pool, no_grad
-from modemil.nn.layers import CONV_BLOCK
+from modemil.nn.layers import CONV_BLOCK, _first_winners, _pool
 from modemil.nn.tensor import relu
 
 
@@ -493,3 +496,190 @@ def test_inference_encoder_pass_holds_no_batch_sized_map():
             tracemalloc.stop()
         peaks.append(peak)
     assert peaks[1] - peaks[0] < 6e6
+
+
+# -- the training node ----------------------------------------------------------
+#
+# While a graph is recorded or batch norm uses batch statistics, conv_block is one
+# node with a hand-written backward. It reduces in another order than the chain
+# (per-channel sums of each image block's (rows, W*C) view, the pooled gradient's
+# sum, one scatter through the winner index), so it agrees with the chain to
+# rounding: rtol 1e-12, and an atol of 1e-12 times the largest finite |reference|.
+
+BLOCK_TOL = 1e-12
+
+
+def _assert_close(actual, reference, scale=None):
+    if scale is None:
+        scale = np.abs(reference[np.isfinite(reference)]).max(initial=0.0)
+    np.testing.assert_allclose(actual, reference, rtol=BLOCK_TOL, atol=BLOCK_TOL * scale, equal_nan=True)
+
+
+def _block_step(op, make_block, h_data, training, flags=(True,) * 5, grad_seed=0):
+    """``op`` on fresh copies of a block and its input, with ``requires_grad`` set per
+    (h, kernel, conv bias, gain, norm bias) from ``flags``; backpropagates a fixed random
+    gradient. Returns the output, the five gradients and the running statistics."""
+    conv, norm = make_block()
+    h = Tensor(h_data.copy())
+    leaves = (h, conv.kernel, conv.bias, norm.gain, norm.bias)
+    for leaf, flag in zip(leaves, flags):
+        leaf.requires_grad = flag
+    with np.errstate(invalid="ignore"):
+        out = op(h, conv, norm, training)
+        if out.requires_grad:
+            out.backward(np.random.default_rng(grad_seed).normal(size=out.shape))
+    return out.data, [leaf.grad for leaf in leaves], [norm._buffers[k] for k in ("running_mean", "running_var")]
+
+
+def _assert_node_matches_chain(make_block, h_data, training, flags=(True,) * 5, zero_grads=(2,)):
+    """Compare the node with the chain. Under batch statistics the gradients at the
+    indices ``zero_grads`` are zero in exact arithmetic, and are held to the scale of
+    the largest gradient of a run that requires them all: by default the conv bias's,
+    as batch statistics take the per-channel mean out after the conv. Both sides then
+    hold rounding noise only (1e-13 to 1e-18 seen, against kernel gradients of 1-1000)."""
+    out, grads, stats = _block_step(conv_block, make_block, h_data, training, flags)
+    ref_out, ref_grads, ref_stats = _block_step(_chain, make_block, h_data, training, flags)
+    _assert_close(out, ref_out)
+    for value, ref in zip(stats, ref_stats):
+        _assert_close(value, ref)
+    run_scale = None
+    if training:
+        all_grads = np.concatenate([g.ravel() for g in _block_step(_chain, make_block, h_data, training)[1]])
+        run_scale = np.abs(all_grads[np.isfinite(all_grads)]).max(initial=0.0)
+    for k, (grad, ref) in enumerate(zip(grads, ref_grads)):
+        if ref is None:
+            assert grad is None
+        else:
+            _assert_close(grad, ref, scale=run_scale if k in zero_grads else None)
+
+
+def _seeded(factory, seed):
+    return lambda: factory(np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["batch_stats", "running_stats"])
+@pytest.mark.parametrize("kind", ["normal", "specials", "ties"])
+@pytest.mark.parametrize("conv_shape", ENCODER_CONVS, ids=["conv1", "conv2", "conv3"])
+def test_training_conv_block_node_matches_chain(training, kind, conv_shape):
+    # The encoder's shapes (51, 25 and 12 wide: two odd) across a CONV_BLOCK boundary,
+    # with zero and negative gains; running statistics are what full_model_check runs.
+    height, width, c_in, _ = conv_shape
+    rng = np.random.default_rng(c_in)
+    h_data = _block_inputs(kind, (CONV_BLOCK + 1, height, width, c_in), rng)
+    _assert_node_matches_chain(_seeded(lambda r: _encoder_block(conv_shape, r), c_in), h_data, training)
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["batch_stats", "running_stats"])
+@pytest.mark.parametrize("flags", list(itertools.product([True, False], repeat=5)), ids=str)
+def test_conv_block_node_matches_chain_for_every_requires_grad_combination(training, flags):
+    rng = np.random.default_rng(21)
+    h_data = rng.normal(size=(3, 9, 7, 3))
+    _assert_node_matches_chain(_seeded(lambda r: _encoder_block((9, 7, 3, 4), r), 22), h_data, training, flags)
+
+
+def _identity_block(channels):
+    """A 3x3 conv that copies its input and a batch norm with gains of both signs: the
+    input's ties (and NaN) reach the pool as ties."""
+
+    def make(rng):
+        conv = Conv2D(channels, channels, rng)
+        conv.kernel.data[...] = 0.0
+        conv.kernel.data[1, 1] = np.eye(channels)
+        norm = BatchNorm(channels)
+        norm.gain.data[...] = np.where(np.arange(channels) % 2, -1.5, 0.75)
+        norm.bias.data[...] = rng.normal(size=channels)
+        norm._buffers["running_mean"][...] = rng.normal(size=channels)
+        norm._buffers["running_var"][...] = rng.uniform(0.5, 2.0, size=channels)
+        return conv, norm
+
+    return make
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["batch_stats", "running_stats"])
+@pytest.mark.parametrize("name,data", sorted(_tie_heavy_inputs().items()))
+def test_conv_block_node_routes_ties_like_the_chain(training, name, data):
+    # Equal maxima, signed zeros, infinities and NaN: the gradient must reach the
+    # element argmax picks, NaN counting as a maximum. With running statistics NaN
+    # stays local, so the input gradient shows where each block's gradient went.
+    if data.shape[0] < 2:  # batch statistics need two images
+        data = np.concatenate([data, data[:, ::-1]])
+    if min(data.shape[1:3]) < 3:  # the 3x3 conv needs 3; tiling keeps every 2x2 block
+        data = np.tile(data, (1, 2 if data.shape[1] < 3 else 1, 2 if data.shape[2] < 3 else 1, 1))
+    # A constant input normalizes to the bias alone: then the gain's exact gradient is
+    # zero too.
+    zero_grads = (2, 3) if np.all(data == data.flat[0]) else (2,)
+    make_block = _seeded(_identity_block(data.shape[-1]), len(name))
+    _assert_node_matches_chain(make_block, data, training, zero_grads=zero_grads)
+
+
+@pytest.mark.parametrize("name,data", sorted(_tie_heavy_inputs().items()))
+def test_recorded_winners_are_argmax_picks(name, data):
+    # A block whose maximum is NaN gets no gradient (the ReLU's NaN > 0 is False),
+    # so the winner of such a block is checked here, on the index itself.
+    pooled, _, quads = _pool(data)
+    winners = np.empty(pooled.shape, dtype=np.uint8)
+    _first_winners(quads, pooled, winners)
+    batch, height, width, channels = data.shape
+    h2, w2 = height // 2, width // 2
+    blocks = data[:, : 2 * h2, : 2 * w2].reshape(batch, h2, 2, w2, 2, channels).transpose(0, 1, 3, 5, 2, 4)
+    _assert_bytes_equal(winners, blocks.reshape(*pooled.shape, 4).argmax(axis=-1).astype(np.uint8))
+
+
+def test_training_conv_block_holds_no_full_size_normalized_map():
+    # Per conv1 image the node holds its im2col columns (374 kB), its conv output
+    # (333 kB), its pooled output (80 kB) and uint8 winner index (10 kB): under
+    # 0.8 MB. The chain holds a normalized map (333 kB) and a ReLU map (80 kB) more.
+    # 20 more images must add less than 20 * (0.8 MB + half a normalized map).
+    rng = np.random.default_rng(6)
+    conv, norm = Conv2D(2, 16, rng), BatchNorm(16)
+    peaks = []
+    for batch in (20, 40):
+        h = Tensor(rng.normal(size=(batch, 51, 51, 2)))
+        tracemalloc.start()
+        try:
+            out = conv_block(h, conv, norm, training=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        peaks.append(peak)
+    map_bytes = 51 * 51 * 16 * 8
+    assert peaks[1] - peaks[0] < 20 * (51 * 51 * 18 * 8 + map_bytes + 25 * 25 * 16 * 9 + map_bytes // 2)
+
+
+def test_training_conv_block_needs_two_images():
+    rng = np.random.default_rng(0)
+    conv, norm = Conv2D(2, 4, rng), BatchNorm(4)
+    with pytest.raises(ValueError, match="batch size >= 2"):
+        conv_block(Tensor(rng.normal(size=(1, 6, 6, 2)), requires_grad=True), conv, norm, training=True)
+
+
+def test_fusion_mil_training_step_matches_the_chain(monkeypatch):
+    # One B = 32 training step (96 acceleration images) through the node and through
+    # the chain: every parameter gradient and the running statistics agree to rounding.
+    # A bias followed by batch statistics (each conv's, each fc layer's) has an exact
+    # gradient of zero, so a bias is held to its layer's weight-gradient scale.
+    rng = np.random.default_rng(9)
+    acc = rng.normal(size=(32, 3, 51, 51, 2))
+    loc_seq, loc_scalars, labels = rng.normal(size=(32, 10, 2)), rng.normal(size=(32, 5)), rng.integers(0, 8, 32)
+
+    def step():
+        model = TransportModeClassifier("fusion_mil", 3, 4, 0.3)
+        result = model.forward(acc, loc_seq, loc_scalars, training=True, rng=np.random.default_rng(1))
+        cce_loss(result.probs, labels).backward()
+        return dict(model.named_parameters()), dict(model.named_tensors())
+
+    params, state = step()
+    monkeypatch.setattr(model_module, "conv_block", _chain)
+    ref_params, ref_state = step()
+    assert params.keys() == ref_params.keys()
+    for name, param in params.items():
+        ref = ref_params[name].grad
+        scale = np.abs(ref).max()
+        layer = name.removesuffix("bias")
+        for weight in (layer + "kernel", layer + "weight"):
+            if name.endswith(".bias") and weight in ref_params:
+                scale = max(scale, np.abs(ref_params[weight].grad).max())
+        _assert_close(param.grad, ref, scale=scale)
+    for name in state:
+        _assert_close(state[name], ref_state[name])

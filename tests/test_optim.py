@@ -77,3 +77,51 @@ def test_second_moments_stay_nonnegative():
         opt.step()
     assert all(np.all(v >= 0.0) for v in opt._v)
     assert opt.step_count == 25
+
+
+class _ReferenceAdam:
+    """The update as written before the step got scratch buffers: one temporary per op."""
+
+    def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr, self.beta1, self.beta2, self.eps = params, lr, beta1, beta2, eps
+        self.step_count = 0
+        self._m = [np.zeros_like(p.data) for p in params]
+        self._v = [np.zeros_like(p.data) for p in params]
+
+    def step(self):
+        self.step_count += 1
+        c1 = 1.0 - self.beta1**self.step_count
+        c2 = 1.0 - self.beta2**self.step_count
+        for p, m, v in zip(self.params, self._m, self._v):
+            g = p.grad
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+@pytest.mark.parametrize("arch", ["loc_lstm", "fusion_mil"])
+def test_step_is_byte_equal_to_the_textbook_expressions(arch):
+    # Every parameter shape of the model, 45 steps of gradients spanning many
+    # magnitudes (zeros and signed zeros included): parameters and both
+    # moments must keep the bits of the temporary-making form.
+    from modemil.model import TransportModeClassifier
+
+    shapes = [p.shape for _, p in TransportModeClassifier(arch, seed=0).named_parameters()]
+    rng = np.random.default_rng(len(arch))
+    init = [rng.normal(size=shape) for shape in shapes]
+    fast = [Tensor(a.copy(), requires_grad=True) for a in init]
+    slow = [Tensor(a.copy(), requires_grad=True) for a in init]
+    opt, ref = Adam(fast, lr=1e-3), _ReferenceAdam(slow, lr=1e-3)
+    for _ in range(45):
+        for p, q in zip(fast, slow):
+            g = rng.normal(size=p.shape) * 10.0 ** rng.integers(-8, 4, size=p.shape)
+            g[rng.random(p.shape) < 0.05] = rng.choice([0.0, -0.0])
+            p.grad, q.grad = g, g.copy()
+        opt.step()
+        ref.step()
+    for arrays, ref_arrays in ((fast, slow), (opt._m, ref._m), (opt._v, ref._v)):
+        for a, b in zip(arrays, ref_arrays, strict=True):
+            a, b = getattr(a, "data", a), getattr(b, "data", b)
+            assert a.tobytes() == b.tobytes()
