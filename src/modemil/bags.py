@@ -224,6 +224,8 @@ def _stream_refs(s: int, feat: SessionFeatures, rows_per_minute, stream: int, n_
 def _placement_bags(features, placement, n_instances: int, first_target: int) -> BagDataset:
     refs: list[BagRef] = []
     for s, feat in enumerate(features):
+        if placement is not None and placement not in feat.placements:
+            raise ValueError(f"session {feat.session_id!r} has no placement {placement!r}, only {feat.placements}")
         rows = range(len(feat.placements)) if placement is None else [feat.placements.index(placement)]
         for row in rows:
             refs += _stream_refs(s, feat, [row] * feat.n_minutes, row, n_instances, first_target)

@@ -13,7 +13,7 @@ from .hmm import estimate_transitions, viterbi_streams
 from .metrics import ClassificationMetrics, classification_metrics, roc_curve
 from .model import TransportModeClassifier
 from .splits import loso_folds, split_bags
-from .train import PREDICT_BATCH, TrainConfig, TrainHistory, _model_inputs, predict_dataset, train_fold
+from .train import TrainConfig, TrainHistory, predict_chunks, predict_dataset, train_fold
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -210,10 +210,8 @@ def attention_report(model: TransportModeClassifier, dataset: BagDataset, indice
     modality: dict[int, list[tuple[float, float]]] = {c: [] for c in range(N_MODES)}
     placement_share: dict[int, list[dict[str, float]]] = {c: [] for c in range(N_MODES)}
     indices = np.asarray(indices, dtype=np.int64)
-    for lo in range(0, len(indices), PREDICT_BATCH):
-        chunk = indices[lo : lo + PREDICT_BATCH]
-        result = model.predict(**_model_inputs(model, dataset.batch(chunk)))
-        for b, i in enumerate(chunk):
+    for span, _, result in predict_chunks(model, dataset, indices):
+        for b, i in enumerate(indices[span]):
             ref = dataset.refs[i]
             label = ref.label
             weights = result.attention[b]

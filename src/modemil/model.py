@@ -78,11 +78,12 @@ class AccelEncoder(Module):
     -> 6. That is conv -> BN -> ReLU -> pool with ReLU on a quarter of the
     elements: max commutes with ``max(x, 0)``, and the gradient routed to a
     block's first maximum is zeroed exactly when that maximum is <= 0.
-    ``conv_block`` runs each block as one node: in training with a hand-written
-    backward and no full-size normalized map (the conv biases get only rounding
-    noise, as batch statistics follow them), at inference 16 images at a time
-    with the chain's bits. The flattened 6*6*64 map passes a 128-wide
-    bottleneck block and a 256-wide block, both with dropout in front.
+    ``conv_block`` runs each block 16 images at a time with no full-size
+    normalized map, one node with a hand-written backward under a graph (the
+    conv biases get only rounding noise, as batch statistics follow them); on
+    running statistics it has the chain's bits. The flattened 6*6*64 map
+    passes a 128-wide bottleneck block and a 256-wide block, both with
+    dropout in front.
     """
 
     def __init__(self, rng: np.random.Generator, dropout_rate: float = 0.3):

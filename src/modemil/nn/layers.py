@@ -4,21 +4,21 @@ Layout conventions: images are channels-last ``(batch, height, width,
 channels)``, sequences are ``(batch, time, features)``, dense activations are
 ``(batch, features)``. Batch normalization always normalizes the trailing
 axis over all leading axes.
-``conv_block`` (conv, batch norm, 2x2 max-pool, ReLU) is one node with a
-hand-written backward in training, equal to the chain of standalone nodes up
-to rounding; at inference it runs ``CONV_BLOCK`` images at a time end to end,
-with the chain's bits. The standalone ``conv2d``, ``BatchNorm`` and
-``max_pool`` serve the rest of the model and the per-layer probes. ``BiLSTM``
-is one node with a hand-written backward through time, with the bits of the
-per-step graph.
+``conv_block`` (conv, batch norm, 2x2 max-pool, ReLU) is one loop over
+``CONV_BLOCK`` images at a time, and one node with a hand-written backward
+while a graph is recorded. On running statistics its output has the bits of
+the chain of standalone nodes; batch statistics and the backward match it up
+to rounding. The standalone ``conv2d``, ``BatchNorm`` and ``max_pool`` serve
+the rest of the model, the gradient checks and the per-layer probes.
+``BiLSTM`` is one node with a hand-written backward through time, with the
+bits of the per-step graph.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import tensor
-from .tensor import Tensor, _sigmoid, make_node
+from .tensor import Tensor, _sigmoid, make_node, recording
 
 __all__ = [
     "Module",
@@ -176,17 +176,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     ``bias`` is (c_out,). Output spatial size equals input spatial size.
     The im2col gemm runs ``CONV_BLOCK`` images at a time.
     """
-    batch, height, width, c_in = x.shape
-    k_h, k_w, _, c_out = kernel.shape
-    keep_cols = tensor._grad_enabled and kernel.requires_grad  # the flag make_node reads
-    cols = np.empty((batch, height, width, k_h, k_w, c_in)) if keep_cols else None
-    out_data = np.empty((batch, height, width, c_out))
+    cols = np.empty((*x.shape[:3], *kernel.shape[:3])) if recording((kernel,)) else None
+    out_data = np.empty((*x.shape[:3], kernel.shape[-1]))
     for _ in _conv_blocks(x.data, kernel.data, bias.data, cols, out_data):
         pass
 
     def backward(grad):
         if bias.requires_grad:
-            bias._accumulate(grad.reshape(-1, c_out).sum(axis=0))
+            bias._accumulate(grad.reshape(-1, bias.shape[0]).sum(axis=0))
         _conv_backward(x, kernel, cols, grad)
 
     return make_node(out_data, (x, kernel, bias), backward)
@@ -242,24 +239,41 @@ def _pool(data: np.ndarray, out: np.ndarray | None = None):
     return np.maximum(np.maximum(quads[0], quads[1]), np.maximum(quads[2], quads[3]), out=out), blocks, quads
 
 
+def _first_winners(quads: list[np.ndarray], pooled: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` (uint8) which of ``_pool``'s four views holds each 2x2 block's first
+    maximum, NaN counting as one: argmax's pick, the element the gradient is routed to. It
+    counts the leading views that lose, those neither equal to the maximum nor NaN."""
+    nan = np.isnan(pooled).any()  # a 2x2 maximum is NaN exactly when one of its four is
+    lost = np.ones(pooled.shape, dtype=bool)
+    out[...] = 0
+    for quad in quads[:3]:
+        lost &= quad != pooled
+        if nan:
+            lost &= quad == quad
+        out += lost
+
+
+def _scatter(grad: np.ndarray, winners: np.ndarray, blocks, shape: tuple[int, ...]) -> np.ndarray:
+    """The (``shape``) input gradient of a 2x2 pool over ``_pool``'s four ``blocks``: each
+    pooled ``grad`` at its first winner, +0.0 elsewhere. That is ``np.where(won, grad, 0.0)``
+    as the gradient's bits ANDed with all ones or zeros: as fast as ``grad * won`` (which
+    leaves -0.0 and NaN off the winners), where ``np.copyto(..., where=)`` took 2.5x as long."""
+    dx = np.zeros(shape)
+    grad_bits, dx_bits = grad.view(np.int64), dx.view(np.int64)
+    for q, (rows, cols) in enumerate(blocks):
+        won = np.negative((winners == q).view(np.int8))  # -1: every bit set
+        np.bitwise_and(grad_bits, won, out=dx_bits[:, rows, cols])
+    return dx
+
+
 def max_pool(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2; a trailing odd row/column is dropped."""
     out_data, blocks, quads = _pool(x.data)
 
     def backward(grad):
-        if not x.requires_grad:
-            return
-        # Route to the first maximum of each block, NaN counting as one (argmax's pick);
-        # the last view gets the blocks none of the first three won.
-        dx = np.zeros_like(x.data)
-        unrouted = np.ones(out_data.shape, dtype=bool)
-        for (rows, cols), quad in zip(blocks[:3], quads[:3]):
-            win = (quad == out_data) | np.isnan(quad)
-            win &= unrouted
-            unrouted ^= win
-            dx[:, rows, cols] = np.where(win, grad, 0.0)
-        dx[:, blocks[3][0], blocks[3][1]] = np.where(unrouted, grad, 0.0)
-        x._accumulate(dx)
+        winners = np.empty(out_data.shape, dtype=np.uint8)
+        _first_winners(quads, out_data, winners)
+        x._accumulate(_scatter(grad, winners, blocks, x.shape))
 
     return make_node(out_data, (x,), backward)
 
@@ -290,6 +304,7 @@ class BatchNorm(Module):
             return self._train_forward(x)
         wide, tile = self._wide(x.data)
         out_data, mean, inv = self._eval(wide, tile)
+        mean, inv = tile(mean), tile(inv)
         gain, bias = self.gain, self.bias
 
         def backward(grad):
@@ -305,14 +320,42 @@ class BatchNorm(Module):
 
     def _eval(self, wide: np.ndarray, tile, out: np.ndarray | None = None):
         """Inference ``((x - mean) * inv) * gain + bias`` of a ``_wide`` view into ``out``
-        (new by default, ``wide`` for in place); returns it and the tiled mean and inv."""
-        mean = tile(self._buffers["running_mean"])
-        inv = tile(1.0 / np.sqrt(self._buffers["running_var"] + self.eps))
-        out = np.subtract(wide, mean, out=out)
-        out *= inv
+        (new by default, ``wide`` for in place); returns it and the per-channel running mean
+        and ``inv`` = 1/sqrt(running var + eps)."""
+        mean = self._buffers["running_mean"]
+        inv = 1.0 / np.sqrt(self._buffers["running_var"] + self.eps)
+        out = np.subtract(wide, tile(mean), out=out)
+        out *= tile(inv)
         out *= tile(self.gain.data)
         out += tile(self.bias.data)
         return out, mean, inv
+
+    def _fit(self, total: np.ndarray, total_sq: np.ndarray, count: int):
+        """Batch statistics from the per-channel sums of x and x*x over ``count`` rows: updates
+        the running estimates and returns the mean, ``inv`` = 1/sqrt(var + eps), and the scale
+        and shift that normalize x as ``x * scale + shift``."""
+        mean = total / count
+        var = np.maximum(total_sq / count - mean * mean, 0.0)
+        keep = self.momentum
+        self._buffers["running_mean"] = keep * self._buffers["running_mean"] + (1.0 - keep) * mean
+        self._buffers["running_var"] = keep * self._buffers["running_var"] + (1.0 - keep) * var
+        inv = 1.0 / np.sqrt(var + self.eps)
+        scale = self.gain.data * inv
+        return mean, inv, scale, self.bias.data - scale * mean
+
+    def _backprop(self, grad_sum: np.ndarray, grad_dot: np.ndarray, mean, inv, count: int):
+        """Push the bias and gain gradients, from the per-channel sums of the output gradient g
+        and of g*x over ``count`` rows (x normalized by ``mean`` and ``inv``), and return the
+        per-channel A, B, C of the input gradient ``A*g + B*x + C`` under batch statistics, its
+        closed form (Ioffe & Szegedy, arXiv:1502.03167). On running statistics it is ``A*g``."""
+        grad_gain = inv * (grad_dot - mean * grad_sum)
+        if self.bias.requires_grad:
+            self.bias._accumulate(grad_sum)
+        if self.gain.requires_grad:
+            self.gain._accumulate(grad_gain)
+        a_coef = self.gain.data * inv
+        b_coef = -a_coef * inv * grad_gain / count
+        return a_coef, b_coef, -a_coef * grad_sum / count - b_coef * mean
 
     def _wide(self, data: np.ndarray):
         """``data`` as (rows, W*C), W its width (1 if 2-D), and a function tiling per-channel
@@ -326,38 +369,21 @@ class BatchNorm(Module):
         wide, tile = self._wide(x.data)
         flat = x.data.reshape(-1, self.n_channels)
         count = flat.shape[0]
-        mean = flat.mean(axis=0)
-        var = np.maximum((flat * flat).mean(axis=0) - mean * mean, 0.0)
-        inv = 1.0 / np.sqrt(var + self.eps)
-        scale = self.gain.data * inv
+        mean, inv, scale, shift = self._fit(flat.sum(axis=0), (flat * flat).sum(axis=0), count)
         out_data = wide * tile(scale)
-        out_data += tile(self.bias.data - scale * mean)
-        keep = self.momentum
-        self._buffers["running_mean"] = keep * self._buffers["running_mean"] + (1.0 - keep) * mean
-        self._buffers["running_var"] = keep * self._buffers["running_var"] + (1.0 - keep) * var
-        gain, bias = self.gain, self.bias
+        out_data += tile(shift)
 
         def backward(grad):
-            grad_flat = grad.reshape(flat.shape)
             grad_wide = grad.reshape(wide.shape)
-            grad_sum = grad_flat.sum(axis=0)
-            grad_gain = inv * ((grad_wide * wide).reshape(flat.shape).sum(axis=0) - mean * grad_sum)
-            if bias.requires_grad:
-                bias._accumulate(grad_sum)
-            if gain.requires_grad:
-                gain._accumulate(grad_gain)
+            grad_dot = (grad_wide * wide).reshape(flat.shape).sum(axis=0)
+            a_coef, b_coef, c_coef = self._backprop(grad.reshape(flat.shape).sum(axis=0), grad_dot, mean, inv, count)
             if x.requires_grad:
-                # dx = A*g + B*x + C per channel, the closed form of the
-                # batch-statistics gradient.
-                a_coef = gain.data * inv
-                b_coef = -a_coef * inv * grad_gain / count
-                c_coef = -a_coef * grad_sum / count - b_coef * mean
                 dx = grad_wide * tile(a_coef)
                 dx += wide * tile(b_coef)
                 dx += tile(c_coef)
                 x._accumulate(dx.reshape(x.shape))
 
-        return make_node(out_data.reshape(x.shape), (x, gain, bias), backward)
+        return make_node(out_data.reshape(x.shape), (x, self.gain, self.bias), backward)
 
 
 def _channel_sum(data: np.ndarray) -> np.ndarray:
@@ -374,118 +400,73 @@ def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", a.reshape(-1, wide), b.reshape(-1, wide)).reshape(width, channels).sum(axis=0)
 
 
-def _first_winners(quads: list[np.ndarray], pooled: np.ndarray, out: np.ndarray) -> None:
-    """Write into ``out`` (uint8) which of ``_pool``'s four views holds each 2x2 block's first
-    maximum, NaN counting as one: argmax's pick, the element the gradient is routed to. It
-    counts the leading views that lose, those neither equal to the maximum nor NaN."""
-    nan = np.isnan(pooled).any()  # a 2x2 maximum is NaN exactly when one of its four is
-    lost = np.ones(pooled.shape, dtype=bool)
-    out[...] = 0
-    for quad in quads[:3]:
-        lost &= quad != pooled
-        if nan:
-            lost &= quad == quad
-        out += lost
-
-
 def conv_block(h: Tensor, conv: Conv2D, norm: BatchNorm, training: bool) -> Tensor:
     """``relu(max_pool(norm(conv(h), training)))`` of ``h`` (batch, H, W, c_in): (batch, H // 2,
-    W // 2, c_out), with two paths and no full-size normalized map on either.
+    W // 2, c_out), ``CONV_BLOCK`` images at a time with no full-size normalized map.
 
-    While a graph is recorded or batch norm uses batch statistics it is one node with a
-    hand-written backward. The forward keeps the conv output ``y`` (and the im2col columns
-    for a kernel gradient), takes each ``CONV_BLOCK``-image block's per-channel sums while it
-    is in cache, then normalizes one block at a time into a reused buffer, pools it into the
-    result with each block's first winner as a uint8 index, and applies ReLU. The backward
-    scatters the pooled gradient to the winners once, as the map gradient ``dy``, and finishes
-    it in place with the closed-form batch-norm gradient ``A*g + B*y + C`` (Ioffe & Szegedy,
-    arXiv:1502.03167; B = C = 0 on running statistics). The values are the chain's up to
-    rounding, as the reductions run in another order. Before batch statistics the conv bias
-    gets only that rounding: its exact gradient is zero.
+    One loop normalizes each block, pools it into the quarter-size result (keeping each 2x2
+    block's first winner as a uint8 index while a graph is recorded) and applies ReLU while it
+    is in cache. The conv output ``y`` is kept whole only for batch statistics or a backward,
+    the im2col columns only for a kernel gradient; otherwise each block is normalized in place
+    right after its gemm. Batch statistics take every block's per-channel sums first, then
+    normalize as ``y * scale + shift`` into one reused block buffer. Running statistics
+    normalize through ``BatchNorm._eval``: inference and a recorded eval pass have the chain's
+    bits.
 
-    Otherwise (inference, a frozen block) each ``CONV_BLOCK`` images run gemm, batch norm in
-    place, the 2x2 max into the quarter-size result and ReLU while in cache, with the bits of
-    the chain at inference."""
-    parents = (h, conv.kernel, conv.bias, norm.gain, norm.bias)
-    record = tensor._grad_enabled and any(p.requires_grad for p in parents)  # make_node's test for a node
+    While a graph is recorded it is one node. Its backward scatters the pooled gradient to the
+    winners once, as the map gradient ``dy``, and finishes it in place with the closed-form
+    batch-norm gradient ``A*g + B*y + C`` (B = C = 0 on running statistics): the chain's values
+    up to rounding, as the reductions run in another order. Before batch statistics the conv
+    bias gets only that rounding: its exact gradient is zero."""
+    kernel, conv_bias = conv.kernel, conv.bias
+    parents = (h, kernel, conv_bias, norm.gain, norm.bias)
+    record = recording(parents)
     batch_stats = training and not norm.frozen
-    if record or batch_stats:
-        return _conv_block_node(h, conv, norm, batch_stats, record)
-    batch, height, width, _ = h.shape
-    pooled = np.empty((batch, height // 2, width // 2, conv.kernel.shape[-1]))
-    for lo, hi, out in _conv_blocks(h.data, conv.kernel.data, conv.bias.data):
-        wide, tile = norm._wide(out)
-        norm._eval(wide, tile, out=wide)
-        block = _pool(out, pooled[lo:hi])[0]
-        np.maximum(block, 0.0, out=block)
-    return Tensor(pooled)
-
-
-def _conv_block_node(h: Tensor, conv: Conv2D, norm: BatchNorm, batch_stats: bool, record: bool) -> Tensor:
-    """``conv_block`` as one graph node; ``record`` keeps what the backward needs."""
-    kernel, conv_bias, gain, norm_bias = conv.kernel, conv.bias, norm.gain, norm.bias
     if batch_stats and h.shape[0] < 2:
         raise ValueError("batch normalization needs a batch size >= 2 in training mode")
     batch, height, width, _ = h.shape
-    y = np.empty((batch, height, width, kernel.shape[-1]))
-    _, tile = norm._wide(y)  # checks the channel count
-    cols = np.empty((batch, height, width, *kernel.shape[:3])) if record and kernel.requires_grad else None
-    y_sum = y_sq = 0.0
-    for _, _, block in _conv_blocks(h.data, kernel.data, conv_bias.data, cols, y):
-        if batch_stats:
-            y_sum = y_sum + _channel_sum(block)
-            y_sq = y_sq + _channel_dot(block, block)
+    out = np.empty((batch, height // 2, width // 2, kernel.shape[-1]))
+    norm._wide(out)  # checks the channel count before any statistics are taken
+    y = np.empty((batch, height, width, out.shape[-1])) if record or batch_stats else None
+    cols = np.empty((*h.shape[:3], *kernel.shape[:3])) if recording((kernel,)) else None
+    convs = _conv_blocks(h.data, kernel.data, conv_bias.data, cols, y)
     count = batch * height * width
     if batch_stats:
-        mean = y_sum / count
-        var = np.maximum(y_sq / count - mean * mean, 0.0)
-        keep = norm.momentum
-        norm._buffers["running_mean"] = keep * norm._buffers["running_mean"] + (1.0 - keep) * mean
-        norm._buffers["running_var"] = keep * norm._buffers["running_var"] + (1.0 - keep) * var
-    else:
-        mean, var = norm._buffers["running_mean"], norm._buffers["running_var"]
-    inv = 1.0 / np.sqrt(var + norm.eps)
-    scale = gain.data * inv
-    tile_scale, tile_shift = tile(scale), tile(norm_bias.data - scale * mean)
-    out = np.empty((batch, height // 2, width // 2, y.shape[-1]))
+        y_sum = y_sq = 0.0
+        for _, _, block in convs:
+            y_sum = y_sum + _channel_sum(block)
+            y_sq = y_sq + _channel_dot(block, block)
+        mean, inv, scale, shift = norm._fit(y_sum, y_sq, count)
+        convs = ((lo, min(lo + CONV_BLOCK, batch), y[lo : lo + CONV_BLOCK]) for lo in range(0, batch, CONV_BLOCK))
+    normed = None if y is None else np.empty_like(y[:CONV_BLOCK])
     winners = np.empty(out.shape, dtype=np.uint8) if record else None
-    normed = np.empty((min(batch, CONV_BLOCK), *y.shape[1:]))
-    for lo in range(0, batch, CONV_BLOCK):
-        hi = min(lo + CONV_BLOCK, batch)
-        wide = normed[: hi - lo].reshape(-1, tile_scale.size)
-        np.multiply(y[lo:hi].reshape(wide.shape), tile_scale, out=wide)
-        wide += tile_shift
-        pooled, blocks, quads = _pool(normed[: hi - lo], out[lo:hi])
+    for lo, hi, block in convs:
+        wide, tile = norm._wide(block)
+        normed_block = block if normed is None else normed[: hi - lo]
+        normed_wide = normed_block.reshape(wide.shape)
+        if batch_stats:
+            np.multiply(wide, tile(scale), out=normed_wide)
+            normed_wide += tile(shift)
+        else:  # mean and inv, like tile, are the same for every block
+            _, mean, inv = norm._eval(wide, tile, out=normed_wide)
+        pooled, quarters, quads = _pool(normed_block, out[lo:hi])
         if record:
             _first_winners(quads, pooled, winners[lo:hi])
         np.maximum(pooled, 0.0, out=pooled)
 
     def backward(grad):
         g = grad * (out > 0.0)
-        g_sum = _channel_sum(g)
-        dy = np.zeros_like(y)  # the dropped odd row and column get no pooled gradient
-        for q, (rows, cols_q) in enumerate(blocks):
-            np.multiply(g, winners == q, out=dy[:, rows, cols_q])
-        grad_gain = inv * (_channel_dot(dy, y) - mean * g_sum)
-        if norm_bias.requires_grad:
-            norm_bias._accumulate(g_sum)
-        if gain.requires_grad:
-            gain._accumulate(grad_gain)
+        dy = _scatter(g, winners, quarters, y.shape)
+        a_coef, b_coef, c_coef = norm._backprop(_channel_sum(g), _channel_dot(dy, y), mean, inv, count)
         if not (h.requires_grad or kernel.requires_grad or conv_bias.requires_grad):
             return
-        a_coef = gain.data * inv
-        if not batch_stats:
-            dy_wide = dy.reshape(-1, tile_scale.size)
-            dy_wide *= tile(a_coef)
-        else:
-            b_coef = -a_coef * inv * grad_gain / count
-            c_coef = -a_coef * g_sum / count - b_coef * mean
-            tile_a, tile_b, tile_c = tile(a_coef), tile(b_coef), tile(c_coef)
-            b_y = np.empty_like(y[:CONV_BLOCK])  # B*y a block at a time: a full-size one costs page faults
-            for lo in range(0, batch, CONV_BLOCK):
-                hi = min(lo + CONV_BLOCK, batch)
-                dy_wide = dy[lo:hi].reshape(-1, tile_a.size)
-                dy_wide *= tile_a
+        tile_a, tile_b, tile_c = tile(a_coef), tile(b_coef), tile(c_coef)
+        b_y = np.empty_like(y[:CONV_BLOCK])  # B*y a block at a time: a full-size one costs page faults
+        for lo in range(0, batch, CONV_BLOCK):
+            hi = min(lo + CONV_BLOCK, batch)
+            dy_wide = dy[lo:hi].reshape(-1, tile_a.size)
+            dy_wide *= tile_a
+            if batch_stats:
                 b_y_wide = b_y[: hi - lo].reshape(dy_wide.shape)
                 dy_wide += np.multiply(y[lo:hi].reshape(dy_wide.shape), tile_b, out=b_y_wide)
                 dy_wide += tile_c
@@ -493,7 +474,7 @@ def _conv_block_node(h: Tensor, conv: Conv2D, norm: BatchNorm, batch_stats: bool
             conv_bias._accumulate(_channel_sum(dy))
         _conv_backward(h, kernel, cols, dy)
 
-    return make_node(out, (h, kernel, conv_bias, gain, norm_bias), backward)
+    return make_node(out, parents, backward)
 
 
 class Dropout(Module):
@@ -619,7 +600,7 @@ class BiLSTM(Module):
             raise ValueError(f"expected {self.n_in} input features, got {x.shape[2]}")
         directions = (self.forward_dir, self.backward_dir)
         parents = (x, *self.parameters())
-        keep = tensor._grad_enabled and any(p.requires_grad for p in parents)  # make_node's test for a node
+        keep = recording(parents)
         orders = (range(x.shape[1]), range(x.shape[1] - 1, -1, -1))
         runs = [d.run(x.data, order, keep) for d, order in zip(directions, orders)]
         n = self.forward_dir.n_cells

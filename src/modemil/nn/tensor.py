@@ -173,6 +173,11 @@ def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=np.float64))
 
 
+def recording(parents) -> bool:
+    """Whether an op on ``parents`` records a node: recording is on and one requires a gradient."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def make_node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     """Create a graph node. `backward(grad)` must push gradients to `parents`.
 
@@ -180,7 +185,7 @@ def make_node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor
     result is a detached constant, so inference passes carry no graph.
     """
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if recording(parents):
         out.requires_grad = True
         out._parents = tuple(p for p in parents if p.requires_grad)
         out._backward = backward

@@ -23,6 +23,7 @@ __all__ = [
     "run_training",
     "run_pretraining",
     "train_fold",
+    "predict_chunks",
     "predict_dataset",
 ]
 
@@ -120,6 +121,15 @@ def _model_inputs(model: TransportModeClassifier, batch: dict) -> dict:
     }
 
 
+def predict_chunks(model: TransportModeClassifier, dataset: BagDataset, indices, batch_size: int = PREDICT_BATCH):
+    """Inference on the bags ``indices``, ``batch_size`` at a time: yields each chunk's slice of
+    ``indices``, its batch and the model's result."""
+    for lo in range(0, len(indices), batch_size):
+        span = slice(lo, lo + batch_size)
+        batch = dataset.batch(indices[span])
+        yield span, batch, model.predict(**_model_inputs(model, batch))
+
+
 def predict_dataset(
     model: TransportModeClassifier,
     dataset: BagDataset,
@@ -129,12 +139,9 @@ def predict_dataset(
     """Inference probabilities and labels for the given bag indices."""
     probs = np.empty((len(indices), 8))
     labels = np.empty(len(indices), dtype=np.int64)
-    for lo in range(0, len(indices), batch_size):
-        chunk = indices[lo : lo + batch_size]
-        batch = dataset.batch(chunk)
-        result = model.predict(**_model_inputs(model, batch))
-        probs[lo : lo + len(chunk)] = result.probs.data
-        labels[lo : lo + len(chunk)] = batch["labels"]
+    for span, batch, result in predict_chunks(model, dataset, indices, batch_size):
+        probs[span] = result.probs.data
+        labels[span] = batch["labels"]
     return probs, labels
 
 

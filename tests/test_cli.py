@@ -136,6 +136,15 @@ def test_non_archive_checkpoint_names_its_file(pipeline, capsys):
     _evaluate_bad_checkpoint(pipeline, capsys, b"not an archive\n")
 
 
+def test_missing_placement_is_named(pipeline, capsys):
+    # the features file holds "Hips" only
+    args = ["train", "--features", str(pipeline / "features.npz"), "--placement", "Hand"]
+    assert main(args + ["--out", str(pipeline / "run_hand")]) == 1
+    err = capsys.readouterr().err
+    assert "no placement 'Hand'" in err and "('Hips',)" in err
+    assert not (pipeline / "run_hand").exists()
+
+
 def test_unknown_test_user_is_a_usage_error(pipeline, capsys):
     args = ["train", "--features", str(pipeline / "features.npz"), "--test-user", "nobody"]
     assert main(args + ["--out", str(pipeline / "run_nobody")]) == 2

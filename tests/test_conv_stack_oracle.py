@@ -8,11 +8,13 @@ match them bit for bit, forward and backward, so equality here is exact
 (``np.array_equal``, or equal bytes where a test says so), not approximate.
 ``conv2d`` runs its gemm ``CONV_BLOCK`` images at a time, so its tests also
 cover batches on either side of a block boundary at the encoder's shapes.
-Inference runs ``conv_block`` that way end to end; its reference is the chain
-of nodes it replaces, ``relu(max_pool(norm(conv(h))))``, at the layer and at
-the model level. In training ``conv_block`` is one node with a hand-written
-backward that reduces in another order than that chain, so there it matches
-the chain to rounding (rtol 1e-12), not bit for bit.
+``conv_block`` has one path, which runs that way end to end; its reference is
+the chain of nodes it replaces, ``relu(max_pool(norm(conv(h))))``, at the
+layer and at the model level. On running statistics its output has the
+chain's bits, at inference and while a graph is recorded. Its batch
+statistics and its hand-written backward reduce in another order than the
+chain, so there it matches the chain to rounding (rtol 1e-12), not bit for
+bit.
 """
 
 import itertools
@@ -258,6 +260,10 @@ def _tie_heavy_inputs():
 @pytest.mark.parametrize("name,data", sorted(_tie_heavy_inputs().items()))
 def test_max_pool_matches_argmax_reference(name, data):
     _assert_same(max_pool, reference_max_pool, [data], seed=len(name))
+    # The gradient to the bit, as np.array_equal takes -0.0 for +0.0: +0.0 off the winners,
+    # never ``grad * 0``. (The forward may pick another sign for a maximum of +-0.)
+    grads = [_run(op, [data], np.random.default_rng(len(name)))[1][0] for op in (max_pool, reference_max_pool)]
+    _assert_bytes_equal(*grads)
 
 
 def _relu_pool_inputs():
@@ -397,19 +403,27 @@ def _encoder_block(conv_shape, rng):
     return conv, norm
 
 
+@pytest.mark.parametrize("recorded", [False, True], ids=["no_grad", "recorded"])
 @pytest.mark.parametrize("kind", ["normal", "specials", "ties"])
 @pytest.mark.parametrize("batch", [1, CONV_BLOCK - 1, CONV_BLOCK, CONV_BLOCK + 1, 40])
 @pytest.mark.parametrize("conv_shape", ENCODER_CONVS, ids=["conv1", "conv2", "conv3"])
-def test_inference_conv_block_matches_chain(kind, batch, conv_shape):
-    # Inference runs each block CONV_BLOCK images at a time end to end; the
-    # chain writes every full-size map. The bits must be the same.
+def test_inference_conv_block_matches_chain(kind, batch, conv_shape, recorded):
+    # conv_block runs each block CONV_BLOCK images at a time end to end; the
+    # chain writes every full-size map. On running statistics the bits must be
+    # the same, also while a graph is recorded: the eval pass full_model_check
+    # differentiates must be the one predict runs.
     height, width, c_in, _ = conv_shape
     rng = np.random.default_rng(batch * 7 + c_in)
     conv, norm = _encoder_block(conv_shape, rng)
-    h = Tensor(_block_inputs(kind, (batch, height, width, c_in), rng))
-    with no_grad(), np.errstate(invalid="ignore"):
-        out = conv_block(h, conv, norm, training=False)
-        ref = _chain(h, conv, norm, training=False)
+    h = Tensor(_block_inputs(kind, (batch, height, width, c_in), rng), requires_grad=recorded)
+    with np.errstate(invalid="ignore"):
+        with no_grad():
+            out = conv_block(h, conv, norm, training=False)
+            ref = _chain(h, conv, norm, training=False)
+        if recorded:
+            graph_out = conv_block(h, conv, norm, training=False)
+            assert graph_out.requires_grad
+            _assert_bytes_equal(graph_out.data, out.data)
     assert not out.requires_grad
     _assert_bytes_equal(out.data, ref.data)
 
@@ -498,10 +512,10 @@ def test_inference_encoder_pass_holds_no_batch_sized_map():
     assert peaks[1] - peaks[0] < 6e6
 
 
-# -- the training node ----------------------------------------------------------
+# -- the node ------------------------------------------------------------------
 #
-# While a graph is recorded or batch norm uses batch statistics, conv_block is one
-# node with a hand-written backward. It reduces in another order than the chain
+# While a graph is recorded, conv_block is one node with a hand-written backward.
+# Its batch statistics and its backward reduce in another order than the chain
 # (per-channel sums of each image block's (rows, W*C) view, the pooled gradient's
 # sum, one scatter through the winner index), so it agrees with the chain to
 # rounding: rtol 1e-12, and an atol of 1e-12 times the largest finite |reference|.

@@ -1,0 +1,30 @@
+"""The runtime dependency is numpy only: every absolute import in the package is
+the standard library, numpy or modemil itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+import modemil
+
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "modemil"}
+
+
+def _absolute_imports(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    sources = sorted(Path(modemil.__file__).parent.rglob("*.py"))
+    assert len(sources) > 10
+    foreign = {
+        f"{path.name}: {name}"
+        for path in sources
+        for name in _absolute_imports(path)
+        if name.partition(".")[0] not in ALLOWED
+    }
+    assert not foreign, sorted(foreign)
