@@ -216,7 +216,7 @@ def attention_report(model: TransportModeClassifier, dataset: BagDataset, indice
             label = ref.label
             weights = result.attention[b]
             acc_w = weights[:n_acc]
-            std_acc[label].append(float(acc_w.std()))
+            std_acc[label].append(float((acc_w - acc_w[0]).std()))  # about w[0]: equal weights give 0
             if model.uses_loc:
                 modality[label].append((float(weights[n_acc:].sum()), float(acc_w.sum())))
             share = acc_w / acc_w.sum() if acc_w.sum() > 0 else np.full(n_acc, 1.0 / n_acc)

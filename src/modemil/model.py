@@ -80,10 +80,11 @@ class AccelEncoder(Module):
     block's first maximum is zeroed exactly when that maximum is <= 0.
     ``conv_block`` runs each block 16 images at a time with no full-size
     normalized map, one node with a hand-written backward under a graph (the
-    conv biases get only rounding noise, as batch statistics follow them); on
-    running statistics it has the chain's bits. The flattened 6*6*64 map
-    passes a 128-wide bottleneck block and a 256-wide block, both with
-    dropout in front.
+    conv biases get only rounding noise, as batch statistics follow them). It
+    computes in float32 inside, on the float64 maps it takes and returns; in
+    its float64 mode (gradient checks) it has the chain's bits on running
+    statistics. The flattened 6*6*64 map passes a 128-wide bottleneck block
+    and a 256-wide block, both with dropout in front.
     """
 
     def __init__(self, rng: np.random.Generator, dropout_rate: float = 0.3):

@@ -1,4 +1,5 @@
-"""Minimal double-precision tensor/NN toolkit backing the classifiers."""
+"""Minimal tensor/NN toolkit backing the classifiers: float64 throughout, except that
+``conv_block`` computes in float32 inside unless ``double_precision()`` is on."""
 
 from .checkpoint import load_arrays, save_arrays
 from .gradcheck import grad_check
@@ -9,6 +10,7 @@ from .tensor import (
     cce_loss,
     clip,
     concat,
+    double_precision,
     log,
     make_node,
     no_grad,
@@ -21,6 +23,7 @@ from .tensor import (
 __all__ = [
     "Tensor",
     "no_grad",
+    "double_precision",
     "make_node",
     "concat",
     "relu",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, double_precision
 
 __all__ = ["grad_check"]
 
@@ -13,6 +13,7 @@ FLOOR = 1e-3  # relative errors divide by at least this
 SMOOTH_TOL = 1e-4  # largest relative h vs h/2 disagreement of a smooth probe
 
 
+@double_precision()
 def grad_check(f, params: list[Tensor], max_coords: int = 16, rng: np.random.Generator | None = None) -> float:
     """Compare reverse-mode gradients of ``f()`` against central differences.
 
@@ -31,6 +32,9 @@ def grad_check(f, params: list[Tensor], max_coords: int = 16, rng: np.random.Gen
     and the coordinate is excluded from the comparison. A wrong analytic
     gradient still fails: away from kinks both step sizes agree with each
     other and expose the mismatch.
+
+    It runs under ``double_precision()``, so ``conv_block`` computes in float64 like every
+    other op: float32 rounding would swamp a central difference at this step.
     """
     rng = rng or np.random.default_rng(0)
     for p in params:

@@ -6,10 +6,13 @@ channels)``, sequences are ``(batch, time, features)``, dense activations are
 axis over all leading axes.
 ``conv_block`` (conv, batch norm, 2x2 max-pool, ReLU) is one loop over
 ``CONV_BLOCK`` images at a time, and one node with a hand-written backward
-while a graph is recorded. On running statistics its output has the bits of
-the chain of standalone nodes; batch statistics and the backward match it up
-to rounding. The standalone ``conv2d``, ``BatchNorm`` and ``max_pool`` serve
-the rest of the model, the gradient checks and the per-layer probes.
+while a graph is recorded. It computes in float32 inside, between float64
+inputs and outputs. Under ``tensor.double_precision()`` it computes in
+float64: then on running statistics its output has the bits of the chain of
+standalone nodes, and batch statistics and the backward match it up to
+rounding. Every other layer is float64. The standalone ``conv2d``,
+``BatchNorm`` and ``max_pool`` serve the rest of the model, the gradient
+checks and the per-layer probes.
 ``BiLSTM`` is one node with a hand-written backward through time, with the
 bits of the per-step graph.
 """
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _sigmoid, make_node, recording
+from .tensor import Tensor, _sigmoid, conv_dtype, make_node, recording
 
 __all__ = [
     "Module",
@@ -139,11 +142,12 @@ class Dense(Module):
         return x @ self.weight + self.bias
 
 
-def _conv_blocks(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, cols=None, out=None):
+def _conv_blocks(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, cols=None, out=None, dtype=np.float64):
     """Same-padded stride-1 cross-correlation, im2col and gemm ``CONV_BLOCK`` images at a
-    time; each block is copied into one zero-bordered buffer, so the batch is never padded
-    whole. ``cols`` and ``out`` each hold the whole batch or one reused block (by default);
-    yields each block's image range ``lo, hi`` and its (hi - lo, H, W, c_out) output."""
+    time in ``dtype``; each block is copied into one zero-bordered buffer, so the batch is
+    never padded whole. ``cols`` and ``out`` (of ``dtype``) each hold the whole batch or one
+    reused block (by default); yields each block's image range ``lo, hi`` and its
+    (hi - lo, H, W, c_out) output."""
     batch, height, width, c_in = x.shape
     k_h, k_w, kc_in, c_out = kernel.shape
     if k_h != k_w or k_h % 2 == 0:
@@ -153,12 +157,12 @@ def _conv_blocks(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, cols=None,
     if height < k_h or width < k_w:
         raise ValueError("spatial extent smaller than the kernel")
     pad = k_h // 2
-    cols = np.empty((min(batch, CONV_BLOCK), height, width, k_h, k_w, c_in)) if cols is None else cols
-    out = np.empty((min(batch, CONV_BLOCK), height, width, c_out)) if out is None else out
-    padded = np.zeros((min(batch, CONV_BLOCK), height + 2 * pad, width + 2 * pad, c_in))  # border never written
+    cols = np.empty((min(batch, CONV_BLOCK), height, width, k_h, k_w, c_in), dtype) if cols is None else cols
+    out = np.empty((min(batch, CONV_BLOCK), height, width, c_out), dtype) if out is None else out
+    padded = np.zeros((min(batch, CONV_BLOCK), height + 2 * pad, width + 2 * pad, c_in), dtype)  # border never written
     # im2col: each pixel's (k, k) window of all channels, in the kernel's (k, k, c_in) order
     windows = np.lib.stride_tricks.sliding_window_view(padded, (k_h, k_w), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
-    k_flat = kernel.reshape(-1, c_out)
+    k_flat, bias = kernel.reshape(-1, c_out).astype(dtype, copy=False), bias.astype(dtype, copy=False)
     for lo in range(0, batch, CONV_BLOCK):  # a gemm split by rows sums each output alike (tested)
         hi = min(lo + CONV_BLOCK, batch)
         block, out_block = (buf[lo:hi] if len(buf) == batch else buf[: hi - lo] for buf in (cols, out))
@@ -192,27 +196,30 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 def _conv_backward(x: Tensor, kernel: Tensor, cols: np.ndarray | None, grad: np.ndarray) -> None:
     """Push ``grad``, the (batch, H, W, c_out) output gradient of a same-padded conv of ``x``,
     into ``kernel`` (one gemm on its kept im2col ``cols``) and into ``x``, each if it requires
-    one; the bias gradient is the caller's."""
+    one, in ``grad``'s dtype; both reach the tensors as float64. The bias gradient is the
+    caller's."""
     batch, height, width, c_in = x.shape
     k_h, k_w, _, c_out = kernel.shape
     pad = k_h // 2
     grad_flat = grad.reshape(batch * height * width, c_out)
     if kernel.requires_grad:
-        kernel._accumulate((cols.reshape(-1, k_h * k_w * c_in).T @ grad_flat).reshape(kernel.shape))
+        d_kernel = cols.reshape(-1, k_h * k_w * c_in).T @ grad_flat
+        kernel._accumulate(d_kernel.reshape(kernel.shape).astype(np.float64, copy=False))
     if x.requires_grad:
         # Input gradient tap by tap: one gemm per kernel offset, added
         # into the clipped region the padded slice actually overlaps.
-        dx = np.zeros_like(x.data)
-        tap = np.empty((batch * height * width, c_in))
+        dx = np.zeros(x.shape, grad.dtype)
+        tap = np.empty((batch * height * width, c_in), grad.dtype)
+        k_data = kernel.data.astype(grad.dtype, copy=False)
         for i in range(k_h):
             for j in range(k_w):
-                np.matmul(grad_flat, kernel.data[i, j].T, out=tap)
+                np.matmul(grad_flat, k_data[i, j].T, out=tap)
                 di, dj = i - pad, j - pad
                 src = tap.reshape(batch, height, width, c_in)[
                     :, max(0, -di) : height - max(0, di), max(0, -dj) : width - max(0, dj), :
                 ]
                 dx[:, max(0, di) : height - max(0, -di), max(0, dj) : width - max(0, -dj), :] += src
-        x._accumulate(dx)
+        x._accumulate(dx.astype(np.float64, copy=False))
 
 
 class Conv2D(Module):
@@ -257,9 +264,11 @@ def _scatter(grad: np.ndarray, winners: np.ndarray, blocks, shape: tuple[int, ..
     """The (``shape``) input gradient of a 2x2 pool over ``_pool``'s four ``blocks``: each
     pooled ``grad`` at its first winner, +0.0 elsewhere. That is ``np.where(won, grad, 0.0)``
     as the gradient's bits ANDed with all ones or zeros: as fast as ``grad * won`` (which
-    leaves -0.0 and NaN off the winners), where ``np.copyto(..., where=)`` took 2.5x as long."""
-    dx = np.zeros(shape)
-    grad_bits, dx_bits = grad.view(np.int64), dx.view(np.int64)
+    leaves -0.0 and NaN off the winners), where ``np.copyto(..., where=)`` took 2.5x as long.
+    ``dx`` has ``grad``'s dtype, its bits viewed as the signed integer of that width."""
+    dx = np.zeros(shape, grad.dtype)
+    bits = np.dtype(f"i{grad.itemsize}")
+    grad_bits, dx_bits = grad.view(bits), dx.view(bits)
     for q, (rows, cols) in enumerate(blocks):
         won = np.negative((winners == q).view(np.int8))  # -1: every bit set
         np.bitwise_and(grad_bits, won, out=dx_bits[:, rows, cols])
@@ -359,11 +368,12 @@ class BatchNorm(Module):
 
     def _wide(self, data: np.ndarray):
         """``data`` as (rows, W*C), W its width (1 if 2-D), and a function tiling per-channel
-        constants W times: the (N, C) arithmetic without an inner loop of C elements."""
+        constants W times in ``data``'s dtype: the (N, C) arithmetic without an inner loop of C
+        elements, and without a float64 loop on a float32 map."""
         if data.shape[-1] != self.n_channels:
             raise ValueError(f"expected {self.n_channels} channels, got {data.shape[-1]}")
         width = data.shape[-2] if data.ndim > 2 else 1
-        return data.reshape(-1, width * self.n_channels), lambda c: np.tile(c, width)
+        return data.reshape(-1, width * self.n_channels), lambda c: np.tile(c, width).astype(data.dtype, copy=False)
 
     def _train_forward(self, x: Tensor) -> Tensor:
         wide, tile = self._wide(x.data)
@@ -388,16 +398,18 @@ class BatchNorm(Module):
 
 def _channel_sum(data: np.ndarray) -> np.ndarray:
     """Per-channel sum of a (..., W, C) map: its (rows, W*C) view summed over rows, then the
-    W groups folded. Summing an (N*H*W, C) view with C = 16-64 is several times slower."""
+    W groups folded, accumulated in float64. Summing an (N*H*W, C) view with C = 16-64 is
+    several times slower."""
     width, channels = data.shape[-2:]
-    return data.reshape(-1, width * channels).sum(axis=0).reshape(width, channels).sum(axis=0)
+    return data.reshape(-1, width * channels).sum(axis=0, dtype=np.float64).reshape(width, channels).sum(axis=0)
 
 
 def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-channel sum of ``a * b`` over two (..., W, C) maps, reduced as ``_channel_sum``."""
     width, channels = a.shape[-2:]
     wide = width * channels
-    return np.einsum("ij,ij->j", a.reshape(-1, wide), b.reshape(-1, wide)).reshape(width, channels).sum(axis=0)
+    terms = np.einsum("ij,ij->j", a.reshape(-1, wide), b.reshape(-1, wide), dtype=np.float64)
+    return terms.reshape(width, channels).sum(axis=0)
 
 
 def conv_block(h: Tensor, conv: Conv2D, norm: BatchNorm, training: bool) -> Tensor:
@@ -417,7 +429,13 @@ def conv_block(h: Tensor, conv: Conv2D, norm: BatchNorm, training: bool) -> Tens
     winners once, as the map gradient ``dy``, and finishes it in place with the closed-form
     batch-norm gradient ``A*g + B*y + C`` (B = C = 0 on running statistics): the chain's values
     up to rounding, as the reductions run in another order. Before batch statistics the conv
-    bias gets only that rounding: its exact gradient is zero."""
+    bias gets only that rounding: its exact gradient is zero.
+
+    The im2col columns, ``y``, the normalized blocks and the backward's full-size maps are in
+    ``tensor.conv_dtype()``: float32, or float64 under ``double_precision()``, where the
+    statements above about the chain's bits hold. The per-channel statistics, sums and
+    constants are float64 (cast to the map's dtype only to apply them), and the output and
+    every gradient handed on are float64."""
     kernel, conv_bias = conv.kernel, conv.bias
     parents = (h, kernel, conv_bias, norm.gain, norm.bias)
     record = recording(parents)
@@ -427,9 +445,10 @@ def conv_block(h: Tensor, conv: Conv2D, norm: BatchNorm, training: bool) -> Tens
     batch, height, width, _ = h.shape
     out = np.empty((batch, height // 2, width // 2, kernel.shape[-1]))
     norm._wide(out)  # checks the channel count before any statistics are taken
-    y = np.empty((batch, height, width, out.shape[-1])) if record or batch_stats else None
-    cols = np.empty((*h.shape[:3], *kernel.shape[:3])) if recording((kernel,)) else None
-    convs = _conv_blocks(h.data, kernel.data, conv_bias.data, cols, y)
+    dtype = conv_dtype()
+    y = np.empty((batch, height, width, out.shape[-1]), dtype) if record or batch_stats else None
+    cols = np.empty((*h.shape[:3], *kernel.shape[:3]), dtype) if recording((kernel,)) else None
+    convs = _conv_blocks(h.data, kernel.data, conv_bias.data, cols, y, dtype)
     count = batch * height * width
     if batch_stats:
         y_sum = y_sq = 0.0
@@ -456,7 +475,7 @@ def conv_block(h: Tensor, conv: Conv2D, norm: BatchNorm, training: bool) -> Tens
 
     def backward(grad):
         g = grad * (out > 0.0)
-        dy = _scatter(g, winners, quarters, y.shape)
+        dy = _scatter(g.astype(dtype, copy=False), winners, quarters, y.shape)
         a_coef, b_coef, c_coef = norm._backprop(_channel_sum(g), _channel_dot(dy, y), mean, inv, count)
         if not (h.requires_grad or kernel.requires_grad or conv_bias.requires_grad):
             return

@@ -5,7 +5,9 @@ gated attention pool, the classifier and the cross-entropy loss need, namely
 add, subtract, negate, multiply, matmul, reshape, indexing, concat, sum, mean,
 relu, tanh, sigmoid, log, clip, softmax and ``cce_loss``. Convolution,
 max-pool, batch norm and the Bi-LSTM are single nodes built in ``layers``.
-All data lives in row-major numpy arrays in double precision, which keeps
+All data and gradients live in row-major numpy arrays in double precision.
+Only ``layers.conv_block`` computes in float32 inside, on float64 inputs and
+outputs; under ``double_precision()`` it computes in float64 too, which keeps
 finite-difference gradient checks tight.
 """
 
@@ -18,6 +20,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "no_grad",
+    "double_precision",
     "make_node",
     "concat",
     "relu",
@@ -31,6 +34,7 @@ __all__ = [
 
 LOSS_EPS = 1e-7
 _grad_enabled = True
+_conv_dtype = np.float32
 
 
 @contextlib.contextmanager
@@ -43,6 +47,24 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
+
+
+@contextlib.contextmanager
+def double_precision():
+    """Make ``conv_block`` compute in float64 inside the block, as every other op always does
+    (gradient checks). Outside it the conv stack runs in float32 between float64 edges."""
+    global _conv_dtype
+    previous = _conv_dtype
+    _conv_dtype = np.float64
+    try:
+        yield
+    finally:
+        _conv_dtype = previous
+
+
+def conv_dtype() -> type:
+    """The dtype ``conv_block`` computes in: float32, or float64 under ``double_precision()``."""
+    return _conv_dtype
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

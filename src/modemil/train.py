@@ -147,10 +147,12 @@ def predict_dataset(
 
 def _validate(model, dataset, indices, batch_size) -> tuple[float, float]:
     """Mean loss and accuracy; the loss is averaged per inference chunk, then weighted by chunk size."""
-    probs, labels = predict_dataset(model, dataset, indices, batch_size)
-    chunks = [slice(lo, lo + batch_size) for lo in range(0, len(indices), batch_size)]
-    loss = sum(float(cce_loss(probs[c], labels[c]).data) * len(labels[c]) for c in chunks)
-    return loss / len(indices), int((probs.argmax(axis=1) == labels).sum()) / len(indices)
+    loss, correct = 0.0, 0
+    for _, batch, result in predict_chunks(model, dataset, indices, batch_size):
+        probs, labels = result.probs.data, batch["labels"]
+        loss += float(cce_loss(probs, labels).data) * len(labels)
+        correct += int((probs.argmax(axis=1) == labels).sum())
+    return loss / len(indices), correct / len(indices)
 
 
 def train_model(

@@ -15,6 +15,11 @@ chain's bits, at inference and while a graph is recorded. Its batch
 statistics and its hand-written backward reduce in another order than the
 chain, so there it matches the chain to rounding (rtol 1e-12), not bit for
 bit.
+
+The references and the chain compute in float64, so every test here runs
+``conv_block`` in its float64 mode (``double_precision()``, the mode the
+gradient checks use). ``tests/test_conv_precision.py`` holds its float32
+path, the one training and prediction take, to this one.
 """
 
 import itertools
@@ -27,7 +32,13 @@ import modemil.model as model_module
 from modemil.model import ARCHITECTURES, WIRING, TransportModeClassifier
 from modemil.nn import BatchNorm, Conv2D, Tensor, cce_loss, conv2d, conv_block, make_node, max_pool, no_grad
 from modemil.nn.layers import CONV_BLOCK, _first_winners, _pool
-from modemil.nn.tensor import relu
+from modemil.nn.tensor import double_precision, relu
+
+
+@pytest.fixture(autouse=True)
+def float64_conv_block():
+    with double_precision():
+        yield
 
 
 def reference_conv2d(x, kernel, bias):

@@ -12,7 +12,8 @@ from modemil.experiments import (
     smooth_test_predictions,
 )
 from modemil.hmm import estimate_transitions
-from modemil.model import TransportModeClassifier
+from modemil.model import ForwardResult, TransportModeClassifier
+from modemil.nn import Tensor
 from modemil.synth import ModeTemplate, SynthConfig, synth_generate
 from modemil.train import TrainConfig
 
@@ -142,6 +143,21 @@ class TestAttentionReport:
         model = TransportModeClassifier("fusion_mil", seed=1)
         tables = attention_report(model, bags, np.arange(len(bags)))
         assert tables["weight_std"][0] == 0.0
+
+    def test_equal_weights_have_zero_spread(self, tiny_features, monkeypatch):
+        # np.std([0.1] * 3) is 1.4e-17, as (0.1 + 0.1 + 0.1) / 3 != 0.1: equal weights
+        # must read a spread of exactly 0 whatever their value
+        bags = build_bags(tiny_features, placement="Hips")
+        model = TransportModeClassifier("acc_mil", seed=0)
+
+        def predict(acc, loc_seq, loc_scalars):
+            return ForwardResult(Tensor(np.full((len(acc), 8), 0.125)), attention=np.full((len(acc), 3), 0.1))
+
+        monkeypatch.setattr(model, "predict", predict)
+        spread = attention_report(model, bags, np.arange(min(len(bags), 64)))["weight_std"]
+        present = ~np.isnan(spread)
+        assert present.any()
+        assert (spread[present] == 0.0).all()
 
     def test_modality_weights_sum_to_one(self, tiny_features):
         bags = build_bags(tiny_features, placement="Hips")
