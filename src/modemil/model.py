@@ -32,7 +32,7 @@ import numpy as np
 from . import N_MODES
 from .nn import BatchNorm, BiLSTM, Conv2D, Dense, Dropout, Module, Tensor, conv_block, no_grad
 from .nn.layers import glorot_uniform
-from .nn.tensor import concat, relu, reshape, sigmoid, softmax, tanh
+from .nn.tensor import concat, recording, relu, reshape, sigmoid, softmax, tanh
 
 __all__ = [
     "EMBED_DIM",
@@ -57,6 +57,9 @@ HEAD_HIDDEN = 128
 SPEC_SHAPE = (51, 51, 2)
 LOC_SEQ_SHAPE = (10, 2)
 N_LOC_SCALARS = 5
+# OpenBLAS sums a gemm of fewer rows in another order than the same rows in a larger
+# call, so inference pads its batch and its distinct windows to at least this many rows.
+MIN_GEMM_ROWS = 4
 
 # arch -> (acceleration pooling, uses location, fusion)
 WIRING = {
@@ -269,6 +272,17 @@ class TransportModeClassifier(Module):
         (batch, 10, 2) with ``loc_scalars`` (batch, 5). Architectures ignore
         the inputs they do not use. Instances are ordered oldest-first with
         the location instance last.
+
+        In eval mode with no graph recorded (``predict``) each byte-distinct
+        window of the batch goes through the acceleration encoder once, and the
+        bags that hold it share its embedding: the bags of a stream slide by one
+        minute, so a window sits in up to three of them. That keeps every bit,
+        as eval batch norm uses running statistics and a row of a conv or dense
+        gemm gets the same bits whatever other rows share the call, as long as
+        the call has ``MIN_GEMM_ROWS`` rows. So this path also pads the distinct
+        windows, and a batch of fewer bags, to that many rows by repeating the
+        last one, and drops the extra rows: a bag gets the same bits in any
+        chunk. Training, and any pass that records a graph, encodes every window.
         """
         if self.uses_accel:
             if acc is None:
@@ -278,7 +292,15 @@ class TransportModeClassifier(Module):
         if self.uses_loc and (loc_seq is None or loc_scalars is None):
             raise ValueError(f"{self.arch} needs location input")
 
-        if self.uses_accel:
+        inference = not training and not recording(self.parameters())
+        n_bags = len(acc) if self.uses_accel else len(loc_seq)
+        if inference and 0 < n_bags < MIN_GEMM_ROWS:
+            padded = self.forward(*(None if x is None else _pad_rows(x) for x in (acc, loc_seq, loc_scalars)))
+            return ForwardResult(*(None if x is None else x[:n_bags] for x in vars(padded).values()))
+
+        if self.uses_accel and inference:
+            h_acc = self._embed_distinct_windows(acc)
+        elif self.uses_accel:
             flat = self.accel_encoder(Tensor(acc.reshape((-1,) + SPEC_SHAPE)), training, rng)
             h_acc = reshape(flat, acc.shape[:2] + (EMBED_DIM,))
         if self.uses_loc:
@@ -301,10 +323,35 @@ class TransportModeClassifier(Module):
         logits = self.head(z, training)
         return ForwardResult(probs=sigmoid(logits), attention=attention, accel_weight=accel_w, loc_weight=loc_w)
 
+    def _embed_distinct_windows(self, acc: np.ndarray) -> Tensor:
+        """Eval-mode (batch, n_instances, ``EMBED_DIM``) embeddings of ``acc`` that encode each
+        byte-distinct window once."""
+        windows = acc.reshape((-1,) + SPEC_SHAPE)
+        first, inverse = _distinct_rows(windows)
+        distinct = self.accel_encoder(Tensor(_pad_rows(windows[first])), False).data
+        return Tensor(distinct[inverse].reshape(acc.shape[:2] + (EMBED_DIM,)))
+
     def predict(self, acc=None, loc_seq=None, loc_scalars=None) -> ForwardResult:
-        """Inference forward pass without graph construction."""
+        """Inference forward pass without graph construction. It encodes each distinct
+        acceleration window of the batch once, with the bits of encoding them all (see
+        ``forward``)."""
         with no_grad():
             return self.forward(acc=acc, loc_seq=loc_seq, loc_scalars=loc_scalars, training=False)
+
+
+def _pad_rows(x: np.ndarray) -> np.ndarray:
+    """``x`` with its last row repeated up to ``MIN_GEMM_ROWS`` rows."""
+    if len(x) >= MIN_GEMM_ROWS:
+        return x
+    return np.concatenate([x, np.repeat(x[-1:], MIN_GEMM_ROWS - len(x), axis=0)])
+
+
+def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the byte-distinct rows of ``x`` in first-occurrence order, and for each
+    row the position of its copy among them."""
+    seen: dict[bytes, int] = {}
+    inverse = np.array([seen.setdefault(row.tobytes(), len(seen)) for row in x])
+    return np.unique(inverse, return_index=True)[1], inverse
 
 
 def parameter_count(module: Module) -> int:

@@ -123,7 +123,9 @@ def _model_inputs(model: TransportModeClassifier, batch: dict) -> dict:
 
 def predict_chunks(model: TransportModeClassifier, dataset: BagDataset, indices, batch_size: int = PREDICT_BATCH):
     """Inference on the bags ``indices``, ``batch_size`` at a time: yields each chunk's slice of
-    ``indices``, its batch and the model's result."""
+    ``indices``, its batch and the model's result. ``predict`` encodes each distinct window of
+    a chunk once (a sliding bag shares two windows with its neighbour) and pads a chunk of
+    fewer than 4 bags, so a bag gets the same bits in any chunk (see ``model.forward``)."""
     for lo in range(0, len(indices), batch_size):
         span = slice(lo, lo + batch_size)
         batch = dataset.batch(indices[span])
