@@ -22,6 +22,7 @@ __all__ = [
     "SEGMENT_HOP",
     "N_SEGMENTS",
     "N_BANDS",
+    "SPEC_SHAPE",
     "LOG_EPS",
     "BandTable",
     "band_table",
@@ -37,6 +38,7 @@ SEGMENT_SAMPLES = 100  # 10 s at 10 Hz
 SEGMENT_HOP = 10  # 9 s overlap
 N_SEGMENTS = 1 + (WINDOW_SAMPLES - SEGMENT_SAMPLES) // SEGMENT_HOP
 N_BANDS = 51
+SPEC_SHAPE = (N_SEGMENTS, N_BANDS, 2)  # one minute's image: segments x bands x (magnitude, jerk)
 LOG_EPS = 1e-7
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import WINDOW_SAMPLES, band_table, magnitude_jerk, mask_augment, spectrogram
-from .geo import WINDOW_MINUTES, LocStream, fill_gaps, loc_features
+from .accel import SPEC_SHAPE, WINDOW_SAMPLES, band_table, magnitude_jerk, mask_augment, spectrogram
+from .geo import LOC_SEQ_SHAPE, N_SCALARS, WINDOW_MINUTES, LocStream, fill_gaps, loc_features
 from .nn.checkpoint import load_arrays, save_arrays
 
 __all__ = [
@@ -83,7 +83,7 @@ def preprocess_session(session: Session) -> SessionFeatures:
     bands = band_table()
     minutes = session.n_minutes
     placements = tuple(sorted(session.accel))
-    specs = np.zeros((len(placements), minutes, 51, 51, 2))
+    specs = np.zeros((len(placements), minutes, *SPEC_SHAPE))
     for p, placement in enumerate(placements):
         samples = np.asarray(session.accel[placement], dtype=np.float64)
         if len(samples) < minutes * WINDOW_SAMPLES:
@@ -96,8 +96,8 @@ def preprocess_session(session: Session) -> SessionFeatures:
             window = magnitude_jerk(samples[start : start + WINDOW_SAMPLES], previous, session.accel_rate)
             specs[p, m] = spectrogram(window, bands)
 
-    loc_matrix = np.zeros((minutes, 10, 2))
-    loc_scalars = np.zeros((minutes, 5))
+    loc_matrix = np.zeros((minutes, *LOC_SEQ_SHAPE))
+    loc_scalars = np.zeros((minutes, N_SCALARS))
     loc_avail = np.zeros(minutes)
     if session.location is not None and minutes > 0:
         grid = fill_gaps(session.location, session.start_time, minutes)
@@ -183,9 +183,9 @@ class BagDataset:
         indices = np.asarray(indices, dtype=np.int64)
         n = len(indices)
         n_inst = self.n_instances
-        acc = np.empty((n, n_inst, 51, 51, 2))
-        loc_seq = np.empty((n, 10, 2))
-        loc_scalars = np.empty((n, 5))
+        acc = np.empty((n, n_inst, *SPEC_SHAPE))
+        loc_seq = np.empty((n, *LOC_SEQ_SHAPE))
+        loc_scalars = np.empty((n, N_SCALARS))
         labels = np.empty(n, dtype=np.int64)
         for b, i in enumerate(indices):
             ref = self.refs[i]

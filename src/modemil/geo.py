@@ -18,6 +18,7 @@ __all__ = [
     "EARTH_RADIUS_M",
     "WINDOW_MINUTES",
     "N_FEATURE_ROWS",
+    "LOC_SEQ_SHAPE",
     "N_SCALARS",
     "LocStream",
     "MinuteGrid",
@@ -31,6 +32,7 @@ __all__ = [
 EARTH_RADIUS_M = 6_371_000.0
 WINDOW_MINUTES = 12
 N_FEATURE_ROWS = 10
+LOC_SEQ_SHAPE = (N_FEATURE_ROWS, 2)  # (speed, speed derivative) rows of a window
 N_SCALARS = 5
 SLOT_SECONDS = 60.0
 MAX_INTERP_SLOTS = 2  # gaps of >= 3 missing minutes are masked, not interpolated
@@ -150,7 +152,7 @@ def loc_features(grid: MinuteGrid, start_slot: int = 0) -> LocWindow:
     times, avail = grid.times[sl], grid.available[sl]
     if len(lats) != WINDOW_MINUTES:
         raise ValueError(f"window needs {WINDOW_MINUTES} slots")
-    matrix = np.zeros((N_FEATURE_ROWS, 2))
+    matrix = np.zeros(LOC_SEQ_SHAPE)
     scalars = np.zeros(N_SCALARS)
     window = LocWindow(matrix=matrix, scalars=scalars, available=avail.copy(), start_time=float(times[0]))
     if avail.sum() < 2:

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import N_MODES
+from .accel import SPEC_SHAPE
+from .geo import LOC_SEQ_SHAPE, N_SCALARS
 from .nn import BatchNorm, BiLSTM, Conv2D, Dense, Dropout, Module, Tensor, conv_block, no_grad
 from .nn.layers import glorot_uniform
 from .nn.tensor import concat, recording, relu, reshape, sigmoid, softmax, tanh
@@ -54,9 +56,7 @@ EMBED_DIM = 256
 ATTENTION_DIM = 256
 LSTM_CELLS = 128
 HEAD_HIDDEN = 128
-SPEC_SHAPE = (51, 51, 2)
-LOC_SEQ_SHAPE = (10, 2)
-N_LOC_SCALARS = 5
+CONV_FEATURES = 6 * 6 * 64  # the flattened conv3 map: 51 -> 25 -> 12 -> 6, 64 channels
 # OpenBLAS sums a gemm of fewer rows in another order than the same rows in a larger
 # call, so inference pads its batch and its distinct windows to at least this many rows.
 MIN_GEMM_ROWS = 4
@@ -100,7 +100,7 @@ class AccelEncoder(Module):
         self.conv3 = Conv2D(32, 64, rng)
         self.norm3 = BatchNorm(64)
         self.drop1 = Dropout(dropout_rate)
-        self.fc1 = Dense(6 * 6 * 64, 128, rng)
+        self.fc1 = Dense(CONV_FEATURES, 128, rng)
         self.fc_norm1 = BatchNorm(128)
         self.drop2 = Dropout(dropout_rate)
         self.fc2 = Dense(128, EMBED_DIM, rng)
@@ -109,12 +109,11 @@ class AccelEncoder(Module):
     def __call__(self, x: Tensor, training: bool, rng: np.random.Generator | None = None) -> Tensor:
         if x.shape[1:] != SPEC_SHAPE:
             raise ValueError(f"expected (batch, {SPEC_SHAPE}) input, got {x.shape}")
-        training = training and not self._frozen
         h = self.input_norm(x, training)
         h = conv_block(h, self.conv1, self.norm1, training)
         h = conv_block(h, self.conv2, self.norm2, training)
         h = conv_block(h, self.conv3, self.norm3, training)
-        h = reshape(h, (x.shape[0], 6 * 6 * 64))
+        h = reshape(h, (x.shape[0], CONV_FEATURES))
         h = relu(self.fc_norm1(self.fc1(self.drop1(h, training, rng)), training))
         h = relu(self.fc_norm2(self.fc2(self.drop2(h, training, rng)), training))
         return h
@@ -129,7 +128,7 @@ class LocEncoder(Module):
         super().__init__()
         self.input_norm = BatchNorm(2)
         self.lstm = BiLSTM(2, LSTM_CELLS, rng)
-        self.fc1 = Dense(2 * LSTM_CELLS + N_LOC_SCALARS, EMBED_DIM, rng)
+        self.fc1 = Dense(2 * LSTM_CELLS + N_SCALARS, EMBED_DIM, rng)
         self.norm1 = BatchNorm(EMBED_DIM)
         self.fc2 = Dense(EMBED_DIM, EMBED_DIM, rng)
         self.norm2 = BatchNorm(EMBED_DIM)
@@ -139,7 +138,6 @@ class LocEncoder(Module):
     def __call__(self, seq: Tensor, scalars: Tensor, training: bool) -> Tensor:
         if seq.shape[1:] != LOC_SEQ_SHAPE:
             raise ValueError(f"expected (batch, {LOC_SEQ_SHAPE}) sequence, got {seq.shape}")
-        training = training and not self._frozen
         h = self.lstm(self.input_norm(seq, training))
         h = concat([h, scalars], axis=1)
         h = relu(self.norm1(self.fc1(h), training))
@@ -195,7 +193,6 @@ class ClassifierHead(Module):
         self.fc2 = Dense(HEAD_HIDDEN, N_MODES, rng)
 
     def __call__(self, z: Tensor, training: bool) -> Tensor:
-        training = training and not self._frozen
         return self.fc2(relu(self.norm(self.fc1(z), training)))
 
 

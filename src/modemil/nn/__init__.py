@@ -8,10 +8,8 @@ from .optim import Adam, NonFiniteGradient
 from .tensor import (
     Tensor,
     cce_loss,
-    clip,
     concat,
     double_precision,
-    log,
     make_node,
     no_grad,
     relu,
@@ -29,8 +27,6 @@ __all__ = [
     "relu",
     "tanh",
     "sigmoid",
-    "log",
-    "clip",
     "softmax",
     "cce_loss",
     "Module",

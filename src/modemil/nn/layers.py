@@ -64,10 +64,6 @@ class Module:
             value = vars(self)[name]
             if isinstance(value, Module):
                 yield name, value
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        yield f"{name}.{i}", item
 
     def named_parameters(self, prefix: str = ""):
         for name in sorted(vars(self)):

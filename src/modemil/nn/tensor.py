@@ -2,9 +2,10 @@
 
 The operation set is deliberately small: exactly what the two encoders, the
 gated attention pool, the classifier and the cross-entropy loss need, namely
-add, subtract, negate, multiply, matmul, reshape, indexing, concat, sum, mean,
-relu, tanh, sigmoid, log, clip, softmax and ``cce_loss``. Convolution,
-max-pool, batch norm and the Bi-LSTM are single nodes built in ``layers``.
+add, subtract, negate, multiply, matmul, reshape, indexing, concat, sum, relu,
+tanh, sigmoid, softmax and ``cce_loss``, which is one node (clamp, pick, log,
+mean and negate). Convolution, max-pool, batch norm and the Bi-LSTM are single
+nodes built in ``layers``.
 All data and gradients live in row-major numpy arrays in double precision.
 Only ``layers.conv_block`` computes in float32 inside, on float64 inputs and
 outputs; under ``double_precision()`` it computes in float64 too, which keeps
@@ -26,8 +27,6 @@ __all__ = [
     "relu",
     "tanh",
     "sigmoid",
-    "log",
-    "clip",
     "softmax",
     "cce_loss",
 ]
@@ -181,9 +180,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -339,24 +335,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return make_node(out_data, (a,), backward)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _wrap(a)
-    count = a.size if axis is None else np.prod(
-        [a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
-
-    def backward(grad):
-        if not a.requires_grad:
-            return
-        g = grad
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.shape) / count)
-
-    return make_node(out_data, (a,), backward)
-
-
 # -- nonlinearities -------------------------------------------------------------
 
 
@@ -400,28 +378,6 @@ def sigmoid(a) -> Tensor:
     return make_node(out_data, (a,), backward)
 
 
-def log(a) -> Tensor:
-    a = _wrap(a)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad / a.data)
-
-    return make_node(np.log(a.data), (a,), backward)
-
-
-def clip(a, lo: float, hi: float) -> Tensor:
-    """Clamp values to [lo, hi]; the gradient is zero on the clamped region."""
-    a = _wrap(a)
-    inside = (a.data > lo) & (a.data < hi)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * inside)
-
-    return make_node(np.clip(a.data, lo, hi), (a,), backward)
-
-
 def softmax(a, axis: int = -1) -> Tensor:
     a = _wrap(a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
@@ -444,20 +400,33 @@ def cce_loss(probs: Tensor, labels) -> Tensor:
 
     ``probs`` holds values in (0, 1) per class (here: sigmoid outputs). For a
     single vector the loss is -log(probs[label]); for a (batch, classes) matrix
-    it is the batch mean. Probabilities are clamped to [LOSS_EPS, 1 - LOSS_EPS].
+    it is the batch mean. Probabilities are clamped to [LOSS_EPS, 1 - LOSS_EPS],
+    and a clamped label probability gets a zero gradient. One node, with the
+    bits of the chain clamp, pick, log, mean, negate.
     """
     probs = _wrap(probs)
     n_classes = probs.shape[-1]
     labels_arr = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     if labels_arr.min() < 0 or labels_arr.max() >= n_classes:
         raise ValueError(f"labels must lie in [0, {n_classes}), got {labels}")
-    clamped = clip(probs, LOSS_EPS, 1.0 - LOSS_EPS)
     if probs.ndim == 1:
-        picked = clamped[(labels_arr,)]
+        if labels_arr.shape != (1,):
+            raise ValueError("a probability vector takes one label")
+        rows = (labels_arr,)
     elif probs.ndim == 2:
         if labels_arr.shape[0] != probs.shape[0]:
             raise ValueError("one label per batch row is required")
-        picked = clamped[(np.arange(probs.shape[0]), labels_arr)]
+        rows = (np.arange(probs.shape[0]), labels_arr)
     else:
         raise ValueError("probs must be a vector or a (batch, classes) matrix")
-    return neg(tmean(log(picked)))
+    p = probs.data
+    picked = np.clip(p, LOSS_EPS, 1.0 - LOSS_EPS)[rows]
+
+    def backward(grad):
+        # each row is picked once, so assigning into zeros is the chain's scatter-add
+        inside = (p > LOSS_EPS) & (p < 1.0 - LOSS_EPS)
+        full = np.zeros_like(p)
+        full[rows] = -grad / picked.size / picked
+        probs._accumulate(full * inside)
+
+    return make_node(-np.log(picked).mean(), (probs,), backward)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import PLACEMENTS
 from .bags import UNLABELED, Session
-from .geo import LocStream
+from .geo import WINDOW_MINUTES, LocStream
 
 __all__ = ["ColumnMap", "ingest", "ingest_report"]
 
@@ -172,7 +172,7 @@ def ingest_report(sessions: list[Session]) -> dict:
                 frames[p] += len(s.accel[p]) // SAMPLES_PER_MINUTE
             else:
                 missing.append(f"{s.session_id}:{p}")
-        location_windows += max(0, s.n_minutes - 11)
+        location_windows += max(0, s.n_minutes - (WINDOW_MINUTES - 1))
     return {
         "sessions": len(sessions),
         "accel_frames_per_placement": frames,

@@ -9,6 +9,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
+from . import N_MODES
 from .bags import BagDataset, SessionFeatures, build_bags, build_windows
 from .model import ARCHITECTURES, TransportModeClassifier
 from .nn import Adam, cce_loss
@@ -139,7 +140,7 @@ def predict_dataset(
     batch_size: int = PREDICT_BATCH,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inference probabilities and labels for the given bag indices."""
-    probs = np.empty((len(indices), 8))
+    probs = np.empty((len(indices), N_MODES))
     labels = np.empty(len(indices), dtype=np.int64)
     for span, batch, result in predict_chunks(model, dataset, indices, batch_size):
         probs[span] = result.probs.data

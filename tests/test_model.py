@@ -239,6 +239,25 @@ class TestFreezeAndState:
         model.accel_encoder.freeze()
         assert frozen > 0 and len(model.parameters()) == total - frozen
 
+    @pytest.mark.parametrize("encoder", ["accel_encoder", "loc_encoder"])
+    def test_frozen_encoder_in_training_mode_is_its_eval_pass(self, encoder):
+        # batch norm and dropout check their own frozen flag, set by the recursive freeze
+        rng = np.random.default_rng(21)
+        model = TransportModeClassifier("fusion_mil", seed=7)
+        module = getattr(model, encoder).freeze()
+        acc, seq, scal = random_bag(rng, batch=4, n_acc=1)
+
+        def run(training):
+            if encoder == "accel_encoder":
+                return module(Tensor(acc[:, 0]), training, np.random.default_rng(0))
+            return module(Tensor(seq), Tensor(scal), training)
+
+        state = module.state_dict()
+        trained = run(True).data
+        for name, array in module.state_dict().items():
+            assert array.tobytes() == state[name].tobytes(), name
+        assert trained.tobytes() == run(False).data.tobytes()
+
     def test_state_round_trip_through_archive(self, tmp_path):
         rng = np.random.default_rng(20)
         model = TransportModeClassifier("fusion_mil", seed=6)

@@ -11,7 +11,7 @@ import pytest
 
 import modemil
 from modemil.nn import Tensor, cce_loss, grad_check, no_grad
-from modemil.nn.tensor import clip, concat, log, relu, sigmoid, softmax, tanh
+from modemil.nn.tensor import LOSS_EPS, concat, relu, sigmoid, softmax, tanh
 
 
 def test_add_mul_broadcast_gradients():
@@ -59,12 +59,6 @@ def test_getitem_basic_and_fancy():
 
 def test_reductions_and_shapes():
     rng = np.random.default_rng(3)
-    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-    m = x.mean(axis=(0, 1))
-    assert m.shape == (4,)
-    m.sum().backward()
-    np.testing.assert_allclose(x.grad, np.full((2, 3, 4), 1.0 / 6.0))
-
     y = Tensor(rng.normal(size=(2, 6)))
     assert y.reshape(3, 4).shape == (3, 4)
 
@@ -83,7 +77,7 @@ def test_elementwise_gradients():
     rng = np.random.default_rng(4)
     x = Tensor(rng.uniform(0.5, 2.0, size=(3, 3)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 3)))
-    for fn in (log, tanh, sigmoid, relu):
+    for fn in (tanh, sigmoid, relu):
         err = grad_check(lambda fn=fn: (fn(x) * w).sum(), [x], rng=rng)
         assert err < 1e-7, fn.__name__
 
@@ -95,10 +89,16 @@ def test_softmax_rows_sum_to_one():
     assert np.all(s.data > 0)
 
 
-def test_clip_blocks_gradient_outside_range():
-    x = Tensor(np.array([-1.0, 0.2, 0.8, 2.0]), requires_grad=True)
-    clip(x, 0.0, 1.0).sum().backward()
-    np.testing.assert_array_equal(x.grad, [0.0, 1.0, 1.0, 0.0])
+def test_clamped_label_probability_gets_no_gradient():
+    # rows 0 and 3 pick a probability clamped to [LOSS_EPS, 1 - LOSS_EPS]; rows 1 and 2
+    # get -1/(n p) at their label, and every unpicked class gets zero
+    p = np.array([[0.5, LOSS_EPS / 2], [0.2, 0.5], [0.8, 0.1], [1.0, 0.3]])
+    probs = Tensor(p, requires_grad=True)
+    cce_loss(probs, np.array([1, 0, 0, 0])).backward()
+    expected = np.zeros_like(p)
+    expected[1, 0] = -1.0 / (4 * 0.2)
+    expected[2, 0] = -1.0 / (4 * 0.8)
+    np.testing.assert_allclose(probs.grad, expected, rtol=1e-15)
 
 
 def test_no_grad_builds_no_graph():
@@ -195,6 +195,67 @@ class TestCceLoss:
             cce_loss(Tensor(np.full(8, 0.5)), 8)
         with pytest.raises(ValueError):
             cce_loss(Tensor(np.full((2, 8), 0.5)), np.array([0, -1]))
+
+    def test_vector_takes_one_label(self):
+        with pytest.raises(ValueError, match="one label"):
+            cce_loss(Tensor(np.full(8, 0.5)), [1, 1])
+
+
+def _chain_loss(p, labels):
+    """The loss and its gradient in ``p`` as the five-op chain clip, pick, log, mean, negate
+    computed them, each backward step in the chain's order."""
+    rows = (labels,) if p.ndim == 1 else (np.arange(len(p)), labels)
+    picked = np.clip(p, LOSS_EPS, 1.0 - LOSS_EPS)[rows]
+    loss = -(np.log(picked).mean())
+    grad = -np.ones(())  # negate
+    grad = np.broadcast_to(grad, picked.shape) / picked.size  # mean
+    grad = grad / picked  # log
+    full = np.zeros_like(p)
+    np.add.at(full, rows, grad)  # pick
+    return loss, full * ((p > LOSS_EPS) & (p < 1.0 - LOSS_EPS))  # clip
+
+
+def _edge_probabilities(rng, shape):
+    """Probabilities with exact 0 and 1 and values at, just inside and just outside
+    LOSS_EPS of either end, among uniform ones."""
+    edges = np.array([0.0, 1.0, LOSS_EPS, 1.0 - LOSS_EPS, LOSS_EPS / 2, 1.0 - LOSS_EPS / 2, 1.5 * LOSS_EPS,
+                      1.0 - 1.5 * LOSS_EPS, np.nextafter(LOSS_EPS, 0.0), np.nextafter(LOSS_EPS, 1.0),
+                      np.nextafter(1.0 - LOSS_EPS, 0.0), np.nextafter(1.0 - LOSS_EPS, 1.0)])
+    p = rng.uniform(size=shape)
+    at = rng.random(shape) < 0.5
+    p[at] = rng.choice(edges, size=int(at.sum()))
+    return p
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cce_loss_has_the_bits_of_the_chain(seed):
+    rng = np.random.default_rng(seed)
+    cases = [_edge_probabilities(rng, (int(rng.integers(1, 70)), 8)) for _ in range(20)]
+    cases += [_edge_probabilities(rng, (8,)) for _ in range(20)]
+    for p in cases:
+        labels = rng.integers(0, 8, size=len(p) if p.ndim == 2 else 1)
+        probs = Tensor(p, requires_grad=True)
+        loss = cce_loss(probs, labels)
+        loss.backward()
+        ref_loss, ref_grad = _chain_loss(p, labels)
+        assert loss.data.tobytes() == np.asarray(ref_loss).tobytes()
+        assert probs.grad.tobytes() == ref_grad.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 10.0, 40.0])
+def test_cce_loss_through_sigmoid_has_the_bits_of_the_chain(scale):
+    # at scale 40 many probabilities saturate to 0 or 1 and are clamped
+    rng = np.random.default_rng(int(scale))
+    for _ in range(60):
+        logits = Tensor(rng.normal(scale=scale, size=(int(rng.integers(1, 70)), 8)), requires_grad=True)
+        labels = rng.integers(0, 8, size=logits.shape[0])
+        probs = sigmoid(logits)
+        loss = cce_loss(probs, labels)
+        loss.backward()
+        s = probs.data
+        ref_loss, ref_grad = _chain_loss(s, labels)
+        assert loss.data.tobytes() == np.asarray(ref_loss).tobytes()
+        assert logits.grad.tobytes() == (ref_grad * s * (1.0 - s)).tobytes()
 
 
 def test_sigmoid_keeps_the_bits_of_the_three_exp_form():
