@@ -130,11 +130,15 @@ def _cmd_train(args, argv) -> int:
 
 
 def _load_model(path) -> tuple[TransportModeClassifier, dict]:
+    """A checkpoint's model and metadata; a config or a state that does not fit names the file."""
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "model":
         raise ValueError(f"{path}: not a model checkpoint")
-    model = build_model(TrainConfig.from_dict(meta["config"]))
-    model.load_state_dict(arrays)
+    try:
+        model = build_model(TrainConfig.from_dict(meta["config"]))
+        model.load_state_dict(arrays)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return model, meta
 
 

@@ -76,18 +76,20 @@ ARCHITECTURES = tuple(WIRING)
 class AccelEncoder(Module):
     """Spectrogram encoder: input norm, three conv blocks, two dense blocks.
 
-    Each conv block is a same-padded 3x3 convolution (16/32/64 filters),
-    batch normalization, 2x2 max pooling and ReLU, shrinking 51 -> 25 -> 12
-    -> 6. That is conv -> BN -> ReLU -> pool with ReLU on a quarter of the
-    elements: max commutes with ``max(x, 0)``, and the gradient routed to a
-    block's first maximum is zeroed exactly when that maximum is <= 0.
-    ``conv_block`` runs each block 16 images at a time with no full-size
-    normalized map, one node with a hand-written backward under a graph (the
-    conv biases get only rounding noise, as batch statistics follow them). It
-    computes in float32 inside, on the float64 maps it takes and returns; in
-    its float64 mode (gradient checks) it has the chain's bits on running
-    statistics. The flattened 6*6*64 map passes a 128-wide bottleneck block
-    and a 256-wide block, both with dropout in front.
+    Each conv block is a same-padded 3x3 convolution (16/32/64 filters, no
+    bias: the batch norm after it would cancel one), batch normalization, 2x2
+    max pooling and ReLU, shrinking 51 -> 25 -> 12 -> 6. That is conv -> BN
+    -> ReLU -> pool with ReLU on a quarter of the elements: max commutes with
+    ``max(x, 0)``, and the gradient routed to a block's first maximum is
+    zeroed exactly when that maximum is <= 0. ``conv_block`` runs each block
+    16 images at a time with no full-size normalized map, one node with a
+    hand-written backward under a graph. The input norm runs inside conv1's
+    block, which standardizes the spectrogram into its conv buffer and gives
+    the input no gradient. The blocks compute in float32 inside, on the
+    float64 maps they take and return; in their float64 mode (gradient
+    checks) they have the chain's bits on running statistics. The flattened
+    6*6*64 map passes a 128-wide bottleneck block and a 256-wide block, both
+    with dropout in front.
     """
 
     def __init__(self, rng: np.random.Generator, dropout_rate: float = 0.3):
@@ -109,8 +111,7 @@ class AccelEncoder(Module):
     def __call__(self, x: Tensor, training: bool, rng: np.random.Generator | None = None) -> Tensor:
         if x.shape[1:] != SPEC_SHAPE:
             raise ValueError(f"expected (batch, {SPEC_SHAPE}) input, got {x.shape}")
-        h = self.input_norm(x, training)
-        h = conv_block(h, self.conv1, self.norm1, training)
+        h = conv_block(x, self.conv1, self.norm1, training, self.input_norm)
         h = conv_block(h, self.conv2, self.norm2, training)
         h = conv_block(h, self.conv3, self.norm3, training)
         h = reshape(h, (x.shape[0], CONV_FEATURES))
@@ -293,7 +294,8 @@ class TransportModeClassifier(Module):
         n_bags = len(acc) if self.uses_accel else len(loc_seq)
         if inference and 0 < n_bags < MIN_GEMM_ROWS:
             padded = self.forward(*(None if x is None else _pad_rows(x) for x in (acc, loc_seq, loc_scalars)))
-            return ForwardResult(*(None if x is None else x[:n_bags] for x in vars(padded).values()))
+            probs, *diagnostics = vars(padded).values()
+            return ForwardResult(Tensor(probs.data[:n_bags]), *(None if x is None else x[:n_bags] for x in diagnostics))
 
         if self.uses_accel and inference:
             h_acc = self._embed_distinct_windows(acc)

@@ -4,7 +4,8 @@ Layout conventions: images are channels-last ``(batch, height, width,
 channels)``, sequences are ``(batch, time, features)``, dense activations are
 ``(batch, features)``. Batch normalization always normalizes the trailing
 axis over all leading axes.
-``conv_block`` (conv, batch norm, 2x2 max-pool, ReLU) is one loop over
+``conv_block`` (conv, batch norm, 2x2 max-pool, ReLU, and optionally an
+input norm in front of the conv) is one loop over
 ``CONV_BLOCK`` images at a time, and one node with a hand-written backward
 while a graph is recorded. It computes in float32 inside, between float64
 inputs and outputs. Under ``tensor.double_precision()`` it computes in
@@ -138,12 +139,16 @@ class Dense(Module):
         return x @ self.weight + self.bias
 
 
-def _conv_blocks(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, cols=None, out=None, dtype=np.float64):
+def _conv_blocks(
+    x: np.ndarray, kernel: np.ndarray, cols=None, out=None, dtype=np.float64, standardize=None, offset=None
+):
     """Same-padded stride-1 cross-correlation, im2col and gemm ``CONV_BLOCK`` images at a
     time in ``dtype``; each block is copied into one zero-bordered buffer, so the batch is
-    never padded whole. ``cols`` and ``out`` (of ``dtype``) each hold the whole batch or one
-    reused block (by default); yields each block's image range ``lo, hi`` and its
-    (hi - lo, H, W, c_out) output."""
+    never padded whole. With ``standardize``, per-channel float64 ``(mean, inv)``, a block
+    goes into the buffer as ``(x - mean) * inv`` (in float64, rounded once), and ``offset``, an
+    (H, W, c_out) map, is added to each output image. ``cols`` and ``out`` (of ``dtype``) each
+    hold the whole batch or one reused block (by default); yields each block's image range
+    ``lo, hi`` and its (hi - lo, H, W, c_out) output."""
     batch, height, width, c_in = x.shape
     k_h, k_w, kc_in, c_out = kernel.shape
     if k_h != k_w or k_h % 2 == 0:
@@ -156,54 +161,62 @@ def _conv_blocks(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, cols=None,
     cols = np.empty((min(batch, CONV_BLOCK), height, width, k_h, k_w, c_in), dtype) if cols is None else cols
     out = np.empty((min(batch, CONV_BLOCK), height, width, c_out), dtype) if out is None else out
     padded = np.zeros((min(batch, CONV_BLOCK), height + 2 * pad, width + 2 * pad, c_in), dtype)  # border never written
+    inside = padded[:, pad : pad + height, pad : pad + width]
     # im2col: each pixel's (k, k) window of all channels, in the kernel's (k, k, c_in) order
     windows = np.lib.stride_tricks.sliding_window_view(padded, (k_h, k_w), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
-    k_flat, bias = kernel.reshape(-1, c_out).astype(dtype, copy=False), bias.astype(dtype, copy=False)
+    k_flat = kernel.reshape(-1, c_out).astype(dtype, copy=False)
+    if standardize is not None:  # tiled over W: no inner loop of c_in elements
+        mean, inv = (np.tile(c, width) for c in standardize)
     for lo in range(0, batch, CONV_BLOCK):  # a gemm split by rows sums each output alike (tested)
         hi = min(lo + CONV_BLOCK, batch)
         block, out_block = (buf[lo:hi] if len(buf) == batch else buf[: hi - lo] for buf in (cols, out))
-        padded[: hi - lo, pad : pad + height, pad : pad + width] = x[lo:hi]
+        if standardize is None:
+            inside[: hi - lo] = x[lo:hi]
+        else:  # (n, H, W * c_in) views of the buffer's inside and of x
+            rows = inside[: hi - lo].reshape(hi - lo, height, -1)
+            np.multiply(x[lo:hi].reshape(rows.shape) - mean, inv, out=rows)
         block[...] = windows[: hi - lo]
         np.matmul(block.reshape(-1, k_flat.shape[0]), k_flat, out=out_block.reshape(-1, c_out))
-        out_block += bias
+        if offset is not None:
+            out_block += offset
         yield lo, hi, out_block
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     """Same-padded stride-1 cross-correlation.
 
-    ``x`` is (batch, H, W, c_in), ``kernel`` is (k, k, c_in, c_out) with odd k,
-    ``bias`` is (c_out,). Output spatial size equals input spatial size.
+    ``x`` is (batch, H, W, c_in), ``kernel`` is (k, k, c_in, c_out) with odd k.
+    Output spatial size equals input spatial size. There is no bias: every conv
+    of the model feeds batch normalization, whose mean takes one out.
     The im2col gemm runs ``CONV_BLOCK`` images at a time.
     """
     cols = np.empty((*x.shape[:3], *kernel.shape[:3])) if recording((kernel,)) else None
     out_data = np.empty((*x.shape[:3], kernel.shape[-1]))
-    for _ in _conv_blocks(x.data, kernel.data, bias.data, cols, out_data):
+    for _ in _conv_blocks(x.data, kernel.data, cols, out_data):
         pass
+    return make_node(out_data, (x, kernel), lambda grad: _conv_backward(x, kernel, cols, grad))
 
-    def backward(grad):
-        if bias.requires_grad:
-            bias._accumulate(grad.reshape(-1, bias.shape[0]).sum(axis=0))
-        _conv_backward(x, kernel, cols, grad)
 
-    return make_node(out_data, (x, kernel, bias), backward)
+def _kernel_gemm(cols: np.ndarray, grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``cols``ᵀ ``grad``: the float64 (k, k, c_in, c_out) kernel gradient of a conv whose
+    im2col columns are ``cols``, one gemm in their dtype."""
+    product = cols.reshape(-1, int(np.prod(shape[:3]))).T @ grad.reshape(-1, shape[-1])
+    return product.reshape(shape).astype(np.float64, copy=False)
 
 
 def _conv_backward(x: Tensor, kernel: Tensor, cols: np.ndarray | None, grad: np.ndarray) -> None:
     """Push ``grad``, the (batch, H, W, c_out) output gradient of a same-padded conv of ``x``,
     into ``kernel`` (one gemm on its kept im2col ``cols``) and into ``x``, each if it requires
-    one, in ``grad``'s dtype; both reach the tensors as float64. The bias gradient is the
-    caller's."""
+    one, in ``grad``'s dtype; both reach the tensors as float64."""
     batch, height, width, c_in = x.shape
     k_h, k_w, _, c_out = kernel.shape
     pad = k_h // 2
-    grad_flat = grad.reshape(batch * height * width, c_out)
     if kernel.requires_grad:
-        d_kernel = cols.reshape(-1, k_h * k_w * c_in).T @ grad_flat
-        kernel._accumulate(d_kernel.reshape(kernel.shape).astype(np.float64, copy=False))
+        kernel._accumulate(_kernel_gemm(cols, grad, kernel.shape))
     if x.requires_grad:
         # Input gradient tap by tap: one gemm per kernel offset, added
         # into the clipped region the padded slice actually overlaps.
+        grad_flat = grad.reshape(batch * height * width, c_out)
         dx = np.zeros(x.shape, grad.dtype)
         tap = np.empty((batch * height * width, c_in), grad.dtype)
         k_data = kernel.data.astype(grad.dtype, copy=False)
@@ -218,16 +231,25 @@ def _conv_backward(x: Tensor, kernel: Tensor, cols: np.ndarray | None, grad: np.
         x._accumulate(dx.astype(np.float64, copy=False))
 
 
+def _tap_sums(image_sum: np.ndarray, k: int) -> np.ndarray:
+    """The (k, k, c_out) sums of ``image_sum``, a same-padded k x k conv's (H, W, c_out) output
+    gradient summed over images, over the positions where each tap reads inside the image."""
+    height, width, _ = image_sum.shape
+    pad = k // 2
+    row_ranges = [slice(max(0, pad - i), height - max(0, i - pad)) for i in range(k)]
+    col_ranges = [slice(max(0, pad - j), width - max(0, j - pad)) for j in range(k)]
+    return np.array([[image_sum[r, c].sum(axis=(0, 1)) for c in col_ranges] for r in row_ranges])
+
+
 class Conv2D(Module):
-    """Same-padded 3x3 convolution with a Glorot-uniform kernel."""
+    """Same-padded 3x3 convolution with a Glorot-uniform kernel and no bias."""
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
         super().__init__()
         self.kernel = Tensor(glorot_uniform(rng, (3, 3, c_in, c_out), 9 * c_in, 9 * c_out), requires_grad=True)
-        self.bias = Tensor(np.zeros(c_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.kernel, self.bias)
+        return conv2d(x, self.kernel)
 
 
 def _pool(data: np.ndarray, out: np.ndarray | None = None):
@@ -327,13 +349,16 @@ class BatchNorm(Module):
         """Inference ``((x - mean) * inv) * gain + bias`` of a ``_wide`` view into ``out``
         (new by default, ``wide`` for in place); returns it and the per-channel running mean
         and ``inv`` = 1/sqrt(running var + eps)."""
-        mean = self._buffers["running_mean"]
-        inv = 1.0 / np.sqrt(self._buffers["running_var"] + self.eps)
+        mean, inv = self._running()
         out = np.subtract(wide, tile(mean), out=out)
         out *= tile(inv)
         out *= tile(self.gain.data)
         out += tile(self.bias.data)
         return out, mean, inv
+
+    def _running(self):
+        """The running mean and ``inv`` = 1/sqrt(running var + eps)."""
+        return self._buffers["running_mean"], 1.0 / np.sqrt(self._buffers["running_var"] + self.eps)
 
     def _fit(self, total: np.ndarray, total_sq: np.ndarray, count: int):
         """Batch statistics from the per-channel sums of x and x*x over ``count`` rows: updates
@@ -392,65 +417,98 @@ class BatchNorm(Module):
         return make_node(out_data.reshape(x.shape), (x, self.gain, self.bias), backward)
 
 
-def _channel_sum(data: np.ndarray) -> np.ndarray:
-    """Per-channel sum of a (..., W, C) map: its (rows, W*C) view summed over rows, then the
-    W groups folded, accumulated in float64. Summing an (N*H*W, C) view with C = 16-64 is
-    several times slower."""
-    width, channels = data.shape[-2:]
-    return data.reshape(-1, width * channels).sum(axis=0, dtype=np.float64).reshape(width, channels).sum(axis=0)
+def _image_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Sum over images (the leading axis) of a (batch, ...) map, or of ``a * b``, in float64: each
+    ``CONV_BLOCK``-image block is summed in the map's dtype (16 terms an element), and the block
+    sums are added in float64. A float64 sum of a float32 map takes a casting loop several
+    times slower."""
+    total = np.zeros(a.shape[1:])
+    for lo in range(0, len(a), CONV_BLOCK):
+        rows = a[lo : lo + CONV_BLOCK].reshape(min(CONV_BLOCK, len(a) - lo), -1)
+        if b is None:
+            total += rows.sum(axis=0).reshape(total.shape)
+        else:
+            total += np.einsum("ij,ij->j", rows, b[lo : lo + CONV_BLOCK].reshape(rows.shape)).reshape(total.shape)
+    return total
 
 
-def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-channel sum of ``a * b`` over two (..., W, C) maps, reduced as ``_channel_sum``."""
+def _channel_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Per-channel float64 sum of a (batch, ..., W, C) map, or of ``a * b``: its ``_image_sum``,
+    folded through its (rows, W*C) view. Folding an (N, C) view with C = 16-64 is several
+    times slower."""
     width, channels = a.shape[-2:]
-    wide = width * channels
-    terms = np.einsum("ij,ij->j", a.reshape(-1, wide), b.reshape(-1, wide), dtype=np.float64)
-    return terms.reshape(width, channels).sum(axis=0)
+    return _image_sum(a, b).reshape(-1, width * channels).sum(axis=0).reshape(width, channels).sum(axis=0)
 
 
-def conv_block(h: Tensor, conv: Conv2D, norm: BatchNorm, training: bool) -> Tensor:
+def conv_block(h: Tensor, conv: Conv2D, norm: BatchNorm, training: bool, input_norm: BatchNorm | None = None) -> Tensor:
     """``relu(max_pool(norm(conv(h), training)))`` of ``h`` (batch, H, W, c_in): (batch, H // 2,
     W // 2, c_out), ``CONV_BLOCK`` images at a time with no full-size normalized map.
 
     One loop normalizes each block, pools it into the quarter-size result (keeping each 2x2
     block's first winner as a uint8 index while a graph is recorded) and applies ReLU while it
     is in cache. The conv output ``y`` is kept whole only for batch statistics or a backward,
-    the im2col columns only for a kernel gradient; otherwise each block is normalized in place
-    right after its gemm. Batch statistics take every block's per-channel sums first, then
-    normalize as ``y * scale + shift`` into one reused block buffer. Running statistics
-    normalize through ``BatchNorm._eval``: inference and a recorded eval pass have the chain's
-    bits.
+    the im2col columns only for a kernel (or input gain) gradient; otherwise each block is
+    normalized in place right after its gemm. Batch statistics take every block's per-channel
+    sums first, then normalize as ``y * scale + shift`` into one reused block buffer. Running
+    statistics normalize through ``BatchNorm._eval``: inference and a recorded eval pass have
+    the chain's bits.
+
+    With ``input_norm`` it is ``conv(input_norm(h, training))`` that is normalized, pooled and
+    rectified, and ``h`` gets no gradient. The input norm's statistics (batch statistics, which
+    update its running ones, in training; running ones in eval mode or when it is frozen)
+    standardize each block as it is written into the conv's zero-bordered buffer: x̂ = (h -
+    mean) * inv. With gain γ and bias β the conv of γ x̂ + β inside the image is x̂'s conv with
+    the kernel K scaled by γ, plus one map made once per call: the conv of β inside the image
+    and zero on its padding. The backward takes S = cols(x̂)ᵀ dy, the kernel gemm, and the sums
+    T of ``dy`` over the positions where each tap reads inside the image: dK = γ S + β T,
+    dγ = Σ K∘S and dβ = Σ K∘T. That replaces a standalone input norm and conv1's input gradient.
 
     While a graph is recorded it is one node. Its backward scatters the pooled gradient to the
     winners once, as the map gradient ``dy``, and finishes it in place with the closed-form
     batch-norm gradient ``A*g + B*y + C`` (B = C = 0 on running statistics): the chain's values
-    up to rounding, as the reductions run in another order. Before batch statistics the conv
-    bias gets only that rounding: its exact gradient is zero.
+    up to rounding, as the reductions run in another order.
 
     The im2col columns, ``y``, the normalized blocks and the backward's full-size maps are in
     ``tensor.conv_dtype()``: float32, or float64 under ``double_precision()``, where the
-    statements above about the chain's bits hold. The per-channel statistics, sums and
-    constants are float64 (cast to the map's dtype only to apply them), and the output and
-    every gradient handed on are float64."""
-    kernel, conv_bias = conv.kernel, conv.bias
-    parents = (h, kernel, conv_bias, norm.gain, norm.bias)
+    statements above about the chain's bits hold (for the chain that computes the input norm as
+    this block does). The per-channel statistics and constants are float64 (cast to the map's
+    dtype only to apply them), their sums are taken per ``CONV_BLOCK`` images in the map's dtype
+    and added in float64 (``_image_sum``), and the output and every gradient handed on are
+    float64."""
+    kernel = conv.kernel
+    in_params = () if input_norm is None else (input_norm.gain, input_norm.bias)
+    parents = (h, kernel, norm.gain, norm.bias, *in_params)
     record = recording(parents)
+    if in_params and record and h.requires_grad:
+        raise ValueError("a conv block with an input norm gives its input no gradient")
     batch_stats = training and not norm.frozen
-    if batch_stats and h.shape[0] < 2:
+    in_stats = input_norm is not None and training and not input_norm.frozen
+    if (batch_stats or in_stats) and h.shape[0] < 2:
         raise ValueError("batch normalization needs a batch size >= 2 in training mode")
     batch, height, width, _ = h.shape
     out = np.empty((batch, height // 2, width // 2, kernel.shape[-1]))
     norm._wide(out)  # checks the channel count before any statistics are taken
     dtype = conv_dtype()
-    y = np.empty((batch, height, width, out.shape[-1]), dtype) if record or batch_stats else None
-    cols = np.empty((*h.shape[:3], *kernel.shape[:3]), dtype) if recording((kernel,)) else None
-    convs = _conv_blocks(h.data, kernel.data, conv_bias.data, cols, y, dtype)
     count = batch * height * width
+    k_data, standardize, offset = kernel.data, None, None
+    if input_norm is not None:
+        input_norm._wide(h.data)
+        if in_stats:
+            standardize = input_norm._fit(_channel_sum(h.data), _channel_sum(h.data, h.data), count)[:2]
+        else:
+            standardize = input_norm._running()
+        k_data = kernel.data * input_norm.gain.data[:, None]
+        beta_map = np.broadcast_to(input_norm.bias.data, (1, *h.shape[1:]))
+        _, _, offset = next(_conv_blocks(beta_map, kernel.data, dtype=dtype))
+    y = np.empty((batch, height, width, out.shape[-1]), dtype) if record or batch_stats else None
+    keep_cols = recording((kernel, *in_params[:1]))  # the kernel gemm gives dK and the input gain's dγ
+    cols = np.empty((*h.shape[:3], *kernel.shape[:3]), dtype) if keep_cols else None
+    convs = _conv_blocks(h.data, k_data, cols, y, dtype, standardize, offset)
     if batch_stats:
         y_sum = y_sq = 0.0
         for _, _, block in convs:
             y_sum = y_sum + _channel_sum(block)
-            y_sq = y_sq + _channel_dot(block, block)
+            y_sq = y_sq + _channel_sum(block, block)
         mean, inv, scale, shift = norm._fit(y_sum, y_sq, count)
         convs = ((lo, min(lo + CONV_BLOCK, batch), y[lo : lo + CONV_BLOCK]) for lo in range(0, batch, CONV_BLOCK))
     normed = None if y is None else np.empty_like(y[:CONV_BLOCK])
@@ -472,8 +530,8 @@ def conv_block(h: Tensor, conv: Conv2D, norm: BatchNorm, training: bool) -> Tens
     def backward(grad):
         g = grad * (out > 0.0)
         dy = _scatter(g.astype(dtype, copy=False), winners, quarters, y.shape)
-        a_coef, b_coef, c_coef = norm._backprop(_channel_sum(g), _channel_dot(dy, y), mean, inv, count)
-        if not (h.requires_grad or kernel.requires_grad or conv_bias.requires_grad):
+        a_coef, b_coef, c_coef = norm._backprop(_channel_sum(g), _channel_sum(dy, y), mean, inv, count)
+        if not any(p.requires_grad for p in (h, kernel, *in_params)):
             return
         tile_a, tile_b, tile_c = tile(a_coef), tile(b_coef), tile(c_coef)
         b_y = np.empty_like(y[:CONV_BLOCK])  # B*y a block at a time: a full-size one costs page faults
@@ -485,9 +543,18 @@ def conv_block(h: Tensor, conv: Conv2D, norm: BatchNorm, training: bool) -> Tens
                 b_y_wide = b_y[: hi - lo].reshape(dy_wide.shape)
                 dy_wide += np.multiply(y[lo:hi].reshape(dy_wide.shape), tile_b, out=b_y_wide)
                 dy_wide += tile_c
-        if conv_bias.requires_grad:
-            conv_bias._accumulate(_channel_sum(dy))
-        _conv_backward(h, kernel, cols, dy)
+        if input_norm is None:
+            _conv_backward(h, kernel, cols, dy)
+            return
+        gain, bias = in_params
+        taps = _tap_sums(_image_sum(dy), kernel.shape[0])[:, :, None]  # (k, k, 1, c_out)
+        s = None if cols is None else _kernel_gemm(cols, dy, kernel.shape)
+        if kernel.requires_grad:
+            kernel._accumulate(gain.data[:, None] * s + bias.data[:, None] * taps)
+        if gain.requires_grad:
+            gain._accumulate((kernel.data * s).sum(axis=(0, 1, 3)))
+        if bias.requires_grad:
+            bias._accumulate((kernel.data * taps).sum(axis=(0, 1, 3)))
 
     return make_node(out, parents, backward)
 

@@ -2,10 +2,10 @@
 
 The operation set is deliberately small: exactly what the two encoders, the
 gated attention pool, the classifier and the cross-entropy loss need, namely
-add, subtract, negate, multiply, matmul, reshape, indexing, concat, sum, relu,
-tanh, sigmoid, softmax and ``cce_loss``, which is one node (clamp, pick, log,
-mean and negate). Convolution, max-pool, batch norm and the Bi-LSTM are single
-nodes built in ``layers``.
+add, multiply, matmul, reshape, concat, sum, relu, tanh, sigmoid, softmax and
+``cce_loss``, which is one node (clamp, pick, log, mean and negate).
+Convolution, max-pool, batch norm and the Bi-LSTM are single nodes built in
+``layers``.
 All data and gradients live in row-major numpy arrays in double precision.
 Only ``layers.conv_block`` computes in float32 inside, on float64 inputs and
 outputs; under ``double_precision()`` it computes in float64 too, which keeps
@@ -161,12 +161,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return add(self, -_wrap(other))
-
-    def __neg__(self):
-        return neg(self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -174,9 +168,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
 
     def sum(self, axis=None, keepdims: bool = False):
         return tsum(self, axis=axis, keepdims=keepdims)
@@ -226,16 +217,6 @@ def add(a, b) -> Tensor:
     return make_node(out_data, (a, b), backward)
 
 
-def neg(a) -> Tensor:
-    a = _wrap(a)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(-grad)
-
-    return make_node(-a.data, (a,), backward)
-
-
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out_data = a.data * b.data
@@ -278,27 +259,6 @@ def reshape(a, shape) -> Tensor:
             a._accumulate(grad.reshape(a.shape))
 
     return make_node(a.data.reshape(shape), (a,), backward)
-
-
-def _is_fancy(key) -> bool:
-    parts = key if isinstance(key, tuple) else (key,)
-    return any(isinstance(p, (np.ndarray, list)) for p in parts)
-
-
-def getitem(a, key) -> Tensor:
-    a = _wrap(a)
-    fancy = _is_fancy(key)
-
-    def backward(grad):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            if fancy:
-                np.add.at(full, key, grad)
-            else:
-                full[key] += grad
-            a._accumulate(full)
-
-    return make_node(a.data[key], (a,), backward)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

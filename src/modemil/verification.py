@@ -34,7 +34,7 @@ def layer_checks(verbose: bool = False) -> float:
     x = Tensor(rng.normal(size=(2, 7, 7, 2)), requires_grad=True)
     conv = Conv2D(2, 4, rng)
     w = Tensor(rng.normal(size=(2, 7, 7, 4)))
-    record("conv2d", grad_check(lambda: (conv(x) * w).sum(), [x, conv.kernel, conv.bias], rng=rng))
+    record("conv2d", grad_check(lambda: (conv(x) * w).sum(), [x, conv.kernel], rng=rng))
 
     xb = Tensor(rng.normal(size=(8, 5)), requires_grad=True)
     bn = BatchNorm(5)
@@ -55,7 +55,7 @@ def layer_checks(verbose: bool = False) -> float:
     block_norm.gain.data[...] = block_rng.normal(size=3)
     block_norm.bias.data[...] = block_rng.normal(size=3)
     wc = Tensor(block_rng.normal(size=(3, 3, 3, 3)))
-    block_params = [xc, block_conv.kernel, block_conv.bias, block_norm.gain, block_norm.bias]
+    block_params = [xc, block_conv.kernel, block_norm.gain, block_norm.bias]
     for mode, training in (("train", True), ("eval", False)):
         record(
             f"conv_block {mode}",
@@ -64,6 +64,30 @@ def layer_checks(verbose: bool = False) -> float:
                 block_params,
                 max_coords=xc.size,
                 rng=block_rng,
+            ),
+        )
+
+    # The block with the input norm fused in: its input takes no gradient, every kernel,
+    # gain and bias coordinate is probed. The gains and biases of both norms and the input
+    # norm's running statistics are drawn away from their defaults.
+    fused_rng = np.random.default_rng(9)
+    xi = Tensor(fused_rng.normal(loc=0.5, scale=1.5, size=(3, 7, 7, 2)))
+    fused_conv, fused_norm, input_norm = Conv2D(2, 3, fused_rng), BatchNorm(3), BatchNorm(2)
+    for bn in (fused_norm, input_norm):
+        bn.gain.data[...] = fused_rng.normal(size=bn.n_channels)
+        bn.bias.data[...] = fused_rng.normal(size=bn.n_channels)
+    input_norm._buffers["running_mean"][...] = fused_rng.normal(size=2)
+    input_norm._buffers["running_var"][...] = fused_rng.uniform(0.5, 2.0, size=2)
+    wi = Tensor(fused_rng.normal(size=(3, 3, 3, 3)))
+    fused_params = [fused_conv.kernel, fused_norm.gain, fused_norm.bias, input_norm.gain, input_norm.bias]
+    for mode, training in (("train", True), ("eval", False)):
+        record(
+            f"conv_block input-norm {mode}",
+            grad_check(
+                lambda: (conv_block(xi, fused_conv, fused_norm, training, input_norm) * wi).sum(),
+                fused_params,
+                max_coords=fused_conv.kernel.size,
+                rng=fused_rng,
             ),
         )
 

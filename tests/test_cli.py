@@ -136,6 +136,20 @@ def test_non_archive_checkpoint_names_its_file(pipeline, capsys):
     _evaluate_bad_checkpoint(pipeline, capsys, b"not an archive\n")
 
 
+def test_checkpoint_with_conv_biases_names_its_file(pipeline, capsys):
+    # Checkpoints written while the convs held a bias no longer load: the error names the
+    # file and the keys the model does not have.
+    arrays, meta = load_arrays(pipeline / "run" / "checkpoint.npz")
+    for conv, channels in (("conv1", 16), ("conv2", 32), ("conv3", 64)):
+        arrays[f"accel_encoder.{conv}.bias"] = np.zeros(channels)
+    old = pipeline / "old_checkpoint.npz"
+    save_arrays(old, arrays, meta=meta)
+    assert main(["evaluate", "--features", str(pipeline / "features.npz"), "--model", str(old)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {old}: state mismatch: missing=[], unexpected=[")
+    assert "accel_encoder.conv1.bias" in err
+
+
 def test_missing_placement_is_named(pipeline, capsys):
     # the features file holds "Hips" only
     args = ["train", "--features", str(pipeline / "features.npz"), "--placement", "Hand"]

@@ -6,7 +6,7 @@ import pytest
 from modemil.nn import BatchNorm, BiLSTM, Conv2D, Dense, Dropout, Tensor, conv2d, grad_check, max_pool
 
 
-def conv_oracle(x, kernel, bias):
+def conv_oracle(x, kernel):
     """Direct triple-loop same-padded cross-correlation."""
     b, h, w, c_in = x.shape
     kh, kw, _, c_out = kernel.shape
@@ -17,7 +17,7 @@ def conv_oracle(x, kernel, bias):
         for i in range(h):
             for j in range(w):
                 for o in range(c_out):
-                    acc = bias[o]
+                    acc = 0.0
                     for u in range(kh):
                         for v in range(kw):
                             acc += np.dot(padded[n, i + u, j + v], kernel[u, v, :, o])
@@ -31,22 +31,22 @@ class TestConv2D:
         x = rng.normal(size=(1, 5, 5, 1))
         kernel = np.zeros((3, 3, 1, 1))
         kernel[1, 1, 0, 0] = 1.0  # centered delta
-        out = conv2d(Tensor(x), Tensor(kernel), Tensor(np.zeros(1)))
+        out = conv2d(Tensor(x), Tensor(kernel))
         np.testing.assert_allclose(out.data, x, atol=0)
 
-    def test_zero_input_yields_bias(self):
-        kernel = np.random.default_rng(1).normal(size=(3, 3, 2, 4))
-        bias = np.array([1.0, -2.0, 0.5, 3.0])
-        out = conv2d(Tensor(np.zeros((2, 5, 5, 2))), Tensor(kernel), Tensor(bias))
-        np.testing.assert_allclose(out.data, np.broadcast_to(bias, (2, 5, 5, 4)))
+    def test_zero_input_yields_zero_and_the_layer_holds_a_kernel_only(self):
+        # Every conv feeds batch normalization, whose mean would cancel a bias.
+        conv = Conv2D(2, 4, np.random.default_rng(1))
+        assert [name for name, _ in conv.named_tensors()] == ["kernel"]
+        out = conv(Tensor(np.zeros((2, 5, 5, 2))))
+        np.testing.assert_array_equal(out.data, np.zeros((2, 5, 5, 4)))
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(1, 4, 4, 2))
         kernel = rng.normal(size=(3, 3, 2, 2))
-        bias = rng.normal(size=2)
-        out = conv2d(Tensor(x), Tensor(kernel), Tensor(bias))
-        np.testing.assert_allclose(out.data, conv_oracle(x, kernel, bias), atol=1e-12)
+        out = conv2d(Tensor(x), Tensor(kernel))
+        np.testing.assert_allclose(out.data, conv_oracle(x, kernel), atol=1e-12)
 
     def test_channel_mismatch_raises(self):
         conv = Conv2D(3, 4, np.random.default_rng(0))
@@ -248,7 +248,7 @@ def test_layer_gradients_match_finite_differences():
     x = Tensor(rng.normal(size=(2, 5, 5, 2)), requires_grad=True)
     conv = Conv2D(2, 3, rng)
     w = Tensor(rng.normal(size=(2, 5, 5, 3)))
-    assert grad_check(lambda: (conv(x) * w).sum(), [x, conv.kernel, conv.bias], rng=rng) < 1e-6
+    assert grad_check(lambda: (conv(x) * w).sum(), [x, conv.kernel], rng=rng) < 1e-6
 
     xb = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
     bn = BatchNorm(4)

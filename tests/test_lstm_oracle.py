@@ -16,12 +16,24 @@ import numpy as np
 import pytest
 
 from modemil.model import TransportModeClassifier
-from modemil.nn import BiLSTM, Tensor, cce_loss, no_grad
+from modemil.nn import BiLSTM, Tensor, cce_loss, make_node, no_grad
 from modemil.nn.tensor import concat, sigmoid, tanh
 from modemil.bags import build_bags, preprocess_session
 from modemil.splits import loso_folds
 from modemil.synth import SynthConfig, synth_generate
 from modemil.train import TrainConfig, predict_dataset, run_pretraining
+
+
+def _slice(a, key):
+    """``a[key]`` for a basic index, as a graph node: its backward adds the gradient into
+    zeros of ``a``'s shape."""
+
+    def backward(grad):
+        full = np.zeros_like(a.data)
+        full[key] += grad
+        a._accumulate(full)
+
+    return make_node(a.data[key], (a,), backward)
 
 
 def reference_direction(direction, x, reverse):
@@ -31,12 +43,12 @@ def reference_direction(direction, x, reverse):
     c = Tensor(np.zeros((batch, n)))
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     for t in order:
-        step = x[:, t, :]
+        step = _slice(x, (slice(None), t, slice(None)))
         gates = step @ direction.w_input + h @ direction.w_state + direction.bias
-        gate_in = sigmoid(gates[:, 0 * n : 1 * n])
-        gate_forget = sigmoid(gates[:, 1 * n : 2 * n])
-        candidate = tanh(gates[:, 2 * n : 3 * n])
-        gate_out = sigmoid(gates[:, 3 * n : 4 * n])
+        gate_in = sigmoid(_slice(gates, (slice(None), slice(0 * n, 1 * n))))
+        gate_forget = sigmoid(_slice(gates, (slice(None), slice(1 * n, 2 * n))))
+        candidate = tanh(_slice(gates, (slice(None), slice(2 * n, 3 * n))))
+        gate_out = sigmoid(_slice(gates, (slice(None), slice(3 * n, 4 * n))))
         c = gate_forget * c + gate_in * candidate
         h = gate_out * tanh(c)
     return h

@@ -39,24 +39,6 @@ def test_matmul_requires_two_dims():
         Tensor(np.ones(3)) @ Tensor(np.ones((3, 2)))
 
 
-def test_getitem_basic_and_fancy():
-    rng = np.random.default_rng(2)
-    x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    x[:, 2].sum().backward()
-    expected = np.zeros((4, 5))
-    expected[:, 2] = 1.0
-    np.testing.assert_array_equal(x.grad, expected)
-
-    y = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    rows = np.array([0, 0, 3])
-    cols = np.array([1, 1, 2])
-    y[(rows, cols)].sum().backward()
-    expected = np.zeros((4, 5))
-    expected[0, 1] = 2.0  # repeated index accumulates
-    expected[3, 2] = 1.0
-    np.testing.assert_array_equal(y.grad, expected)
-
-
 def test_reductions_and_shapes():
     rng = np.random.default_rng(3)
     y = Tensor(rng.normal(size=(2, 6)))
