@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "SAMPLE_RATE_HZ",
@@ -28,6 +29,8 @@ __all__ = [
     "band_table",
     "magnitude_jerk",
     "spectrogram",
+    "minute_spectrograms",
+    "SPEC_BLOCK",
     "mask_augment",
 ]
 
@@ -40,6 +43,7 @@ N_SEGMENTS = 1 + (WINDOW_SAMPLES - SEGMENT_SAMPLES) // SEGMENT_HOP
 N_BANDS = 51
 SPEC_SHAPE = (N_SEGMENTS, N_BANDS, 2)  # one minute's image: segments x bands x (magnitude, jerk)
 LOG_EPS = 1e-7
+SPEC_BLOCK = 16  # minutes per batched spectrogram job: about 650 KB of segments per channel, inside L2
 
 
 @dataclass(frozen=True)
@@ -110,22 +114,44 @@ def magnitude_jerk(
     first jerk value uses ``previous_sample`` (the last sample before the
     window) when given, otherwise it copies the second jerk value.
 
-    Returns an (n, 2) matrix of (magnitude, jerk).
+    Returns an (n, 2) matrix of (magnitude, jerk): the transpose of the
+    (2, n) rows that ``minute_spectrograms`` makes for a whole block.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[1] != 3:
         raise ValueError("expected an (n, 3) array of 3-axis samples")
     if not np.all(np.isfinite(samples)):
         raise ValueError("window contains non-finite samples")
-    magnitude = np.linalg.norm(samples, axis=1)
-    diffs = np.diff(samples, axis=0)
-    jerk_tail = np.linalg.norm(diffs, axis=1) * f_s
+    return _magnitude_jerk(samples, max(len(samples), 1), previous_sample, f_s).T
+
+
+def _magnitude_jerk(samples: np.ndarray, window: int, previous_sample, f_s: float) -> np.ndarray:
+    """(2, n) magnitude and jerk rows of a stream of consecutive ``window``-sample windows.
+
+    Each window's first jerk value is the 1-D norm of its step from the sample
+    before it, as in a one-window call with ``previous_sample``: a dot product,
+    whose rounding differs from the row norms'. The stream's first window
+    reads ``previous_sample`` or copies its second value.
+    """
+    out = np.empty((2, len(samples)))
+    out[0] = _row_norms(samples)
+    out[1, 1:] = _row_norms(np.diff(samples, axis=0)) * f_s
+    for s in range(window, len(samples), window):
+        out[1, s] = np.linalg.norm(samples[s] - samples[s - 1]) * f_s
     if previous_sample is not None:
-        first = np.linalg.norm(samples[0] - np.asarray(previous_sample, dtype=np.float64)) * f_s
-    else:
-        first = jerk_tail[0] if len(jerk_tail) else 0.0
-    jerk = np.concatenate(([first], jerk_tail))
-    return np.stack([magnitude, jerk], axis=1)
+        out[1, 0] = np.linalg.norm(samples[0] - np.asarray(previous_sample, dtype=np.float64)) * f_s
+    elif len(samples):
+        out[1, 0] = out[1, 1] if len(samples) > 1 else 0.0
+    return out
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (n, 3) array, summing the squares in
+    the order of ``np.linalg.norm(v, axis=1)``: (x0² + x1²) + x2²."""
+    squares = v * v
+    total = squares[:, 0] + squares[:, 1]
+    total += squares[:, 2]
+    return np.sqrt(total, out=total)
 
 
 def _hann(n: int) -> np.ndarray:
@@ -145,15 +171,44 @@ def spectrogram(window: np.ndarray, bands: BandTable | None = None) -> np.ndarra
     if window.shape != (WINDOW_SAMPLES, 2):
         raise ValueError(f"expected a ({WINDOW_SAMPLES}, 2) window, got {window.shape}")
     bands = bands or band_table()
+    out = np.empty((1, N_SEGMENTS, bands.n_bands, 2))
+    _log_power(window.T, bands, out)
+    return out[0]
+
+
+def minute_spectrograms(
+    samples: np.ndarray, previous_sample: np.ndarray | None, f_s: float, bands: BandTable, out: np.ndarray
+) -> None:
+    """Spectrograms of up to ``SPEC_BLOCK`` consecutive one-minute windows of a
+    3-axis stream, written into ``out`` (minutes, segments, bands, 2).
+
+    Each image has the bits of ``spectrogram(magnitude_jerk(window, previous,
+    f_s), bands)`` for its window; the caller checks the samples are finite.
+    """
+    _log_power(_magnitude_jerk(samples, WINDOW_SAMPLES, previous_sample, f_s), bands, out)
+
+
+def _log_power(channels: np.ndarray, bands: BandTable, out: np.ndarray) -> None:
+    """Write the images of the consecutive one-minute windows of a
+    (2, minutes * 600) magnitude/jerk stream into ``out``, every window's
+    segments of a channel through one batched FFT.
+
+    Every band of the default table is one bin, where ``reduceat`` is a copy,
+    so it runs only for tables with wider bands.
+    """
+    minutes = len(out)
     taper = _hann(SEGMENT_SAMPLES)
-    seg_index = SEGMENT_HOP * np.arange(N_SEGMENTS)[:, None] + np.arange(SEGMENT_SAMPLES)[None, :]
-    out = np.empty((N_SEGMENTS, bands.n_bands, 2))
+    segments = np.empty((minutes, N_SEGMENTS, SEGMENT_SAMPLES))
+    widths = bands.bin_ranges[:, 1] - bands.bin_ranges[:, 0]
     for ch in range(2):
-        segments = window[:, ch][seg_index] * taper
-        power = np.abs(np.fft.rfft(segments, axis=1)) ** 2
-        banded = np.add.reduceat(power, bands.bin_ranges[:, 0], axis=1)
-        out[:, :, ch] = np.log(banded + LOG_EPS)
-    return out
+        windows = channels[ch].reshape(minutes, WINDOW_SAMPLES)
+        view = sliding_window_view(windows, SEGMENT_SAMPLES, axis=1)[:, ::SEGMENT_HOP]
+        power = np.abs(np.fft.rfft(np.multiply(view, taper, out=segments), axis=2))
+        np.square(power, out=power)
+        if np.any(widths > 1):
+            power = np.add.reduceat(power, bands.bin_ranges[:, 0], axis=2)
+        power += LOG_EPS
+        out[:, :, :, ch] = np.log(power, out=power)
 
 
 def mask_augment(spec: np.ndarray, rng: np.random.Generator) -> np.ndarray:

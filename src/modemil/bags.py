@@ -12,11 +12,13 @@ minutes yields at most M - 11 bags per placement.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import SPEC_SHAPE, WINDOW_SAMPLES, band_table, magnitude_jerk, mask_augment, spectrogram
+from .accel import SPEC_BLOCK, SPEC_SHAPE, WINDOW_SAMPLES, band_table, mask_augment, minute_spectrograms
 from .geo import LOC_SEQ_SHAPE, N_SCALARS, WINDOW_MINUTES, LocStream, fill_gaps, loc_features
 from .nn.checkpoint import load_arrays, save_arrays
 
@@ -79,33 +81,42 @@ class SessionFeatures:
 
 
 def preprocess_session(session: Session) -> SessionFeatures:
-    """Compute spectrograms and location windows for every minute of a session."""
+    """Compute spectrograms and location windows for every minute of a session.
+
+    Each placement stream is cut into ``SPEC_BLOCK``-minute blocks, and worker
+    threads, one per CPU the process may use, share the blocks and the
+    location windows. Each job writes only its own slice; the numpy passes a
+    block is made of release the interpreter lock. The features do not depend
+    on the block size or the number of workers.
+    """
     bands = band_table()
     minutes = session.n_minutes
     placements = tuple(sorted(session.accel))
-    specs = np.zeros((len(placements), minutes, *SPEC_SHAPE))
-    for p, placement in enumerate(placements):
-        samples = np.asarray(session.accel[placement], dtype=np.float64)
-        if len(samples) < minutes * WINDOW_SAMPLES:
-            raise ValueError(
-                f"{session.session_id}/{placement}: {len(samples)} samples for {minutes} labeled minutes"
-            )
-        for m in range(minutes):
-            start = m * WINDOW_SAMPLES
-            previous = samples[start - 1] if start > 0 else None
-            window = magnitude_jerk(samples[start : start + WINDOW_SAMPLES], previous, session.accel_rate)
-            specs[p, m] = spectrogram(window, bands)
-
+    streams = [_checked_stream(session, placement) for placement in placements]
+    specs = np.empty((len(placements), minutes, *SPEC_SHAPE))
     loc_matrix = np.zeros((minutes, *LOC_SEQ_SHAPE))
     loc_scalars = np.zeros((minutes, N_SCALARS))
     loc_avail = np.zeros(minutes)
-    if session.location is not None and minutes > 0:
+
+    def spectrogram_block(p: int, m0: int) -> None:
+        samples = streams[p][m0 * WINDOW_SAMPLES : (m0 + SPEC_BLOCK) * WINDOW_SAMPLES]
+        previous = streams[p][m0 * WINDOW_SAMPLES - 1] if m0 > 0 else None
+        minute_spectrograms(samples, previous, session.accel_rate, bands, specs[p, m0 : m0 + SPEC_BLOCK])
+
+    def location_windows() -> None:
         grid = fill_gaps(session.location, session.start_time, minutes)
         for m in range(WINDOW_MINUTES - 1, minutes):
             window = loc_features(grid, m - (WINDOW_MINUTES - 1))
             loc_matrix[m] = window.matrix
             loc_scalars[m] = window.scalars
             loc_avail[m] = window.availability
+
+    with ThreadPoolExecutor(_worker_count()) as pool:
+        jobs = [pool.submit(location_windows)] if session.location is not None and minutes > 0 else []
+        for p in range(len(placements)):
+            jobs += [pool.submit(spectrogram_block, p, m0) for m0 in range(0, minutes, SPEC_BLOCK)]
+        for job in jobs:
+            job.result()
     return SessionFeatures(
         user=session.user,
         session_id=session.session_id,
@@ -116,6 +127,27 @@ def preprocess_session(session: Session) -> SessionFeatures:
         loc_avail=loc_avail,
         labels=session.labels.copy(),
     )
+
+
+def _checked_stream(session: Session, placement: str) -> np.ndarray:
+    """A placement's samples over the labeled minutes, which must be present and finite."""
+    samples = np.asarray(session.accel[placement], dtype=np.float64)
+    minutes = session.n_minutes
+    if len(samples) < minutes * WINDOW_SAMPLES:
+        raise ValueError(f"{session.session_id}/{placement}: {len(samples)} samples for {minutes} labeled minutes")
+    samples = samples[: minutes * WINDOW_SAMPLES]
+    finite = np.isfinite(samples).reshape(minutes, -1).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{session.session_id}/{placement}: minute {np.argmin(finite)} holds non-finite samples")
+    return samples
+
+
+def _worker_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

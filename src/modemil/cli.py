@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import MODES, __version__
+from .accel import SPEC_SHAPE
 from .bags import build_bags, load_features, load_sessions, preprocess_session, save_features, save_sessions
 from .experiments import attention_report, dev_label_sequences, evaluate_split, roc_tables
 from .hmm import estimate_transitions, load_transitions, save_transitions, viterbi_streams
@@ -142,9 +143,22 @@ def _load_model(path) -> tuple[TransportModeClassifier, dict]:
     return model, meta
 
 
-def _test_split(features, model_path):
+def _check_fit(features, features_path, model_path, placement: str | None) -> None:
+    """A features file the checkpoint cannot read fails naming both files and the field."""
+    for f in features:
+        if f.spectrograms.shape[2:] != SPEC_SHAPE:
+            field = f"session {f.session_id!r} has spectrograms of shape {f.spectrograms.shape[2:]}, not {SPEC_SHAPE}"
+        elif placement is not None and placement not in f.placements:
+            field = f"session {f.session_id!r} has placements {f.placements}, not the checkpoint's {placement!r}"
+        else:
+            continue
+        raise ValueError(f"features {features_path} do not fit checkpoint {model_path}: {field}")
+
+
+def _test_split(features, features_path, model_path):
     """A checkpoint's model and metadata, the bags it was trained on, and its held-out user's bag indices."""
     model, meta = _load_model(model_path)
+    _check_fit(features, features_path, model_path, meta.get("placement"))
     config = meta["config"]
     fold = _fold(features, config["seed"], meta["test_user"])
     dataset = build_bags(features, placement=meta.get("placement"), n_instances=config["n_accel_instances"])
@@ -161,7 +175,7 @@ def _metric_block(name: str, metrics) -> str:
 
 def _cmd_evaluate(args, argv) -> int:
     features = load_features(args.features)
-    model, meta, dataset, test_idx = _test_split(features, args.model)
+    model, meta, dataset, test_idx = _test_split(features, args.features, args.model)
     out_dir = Path(args.out) if args.out else Path(args.model).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     transitions = estimate_transitions(dev_label_sequences(features, meta["test_user"]))
@@ -214,7 +228,8 @@ def _cmd_report(args, argv) -> int:
     lines = [_metric_block("no-hmm", metrics)]
 
     if args.features and args.model:
-        model, _, dataset, test_idx = _test_split(load_features(args.features), args.model)
+        features = load_features(args.features)
+        model, _, dataset, test_idx = _test_split(features, args.features, args.model)
         if model.uses_attention:
             tables = attention_report(model, dataset, test_idx)
             lines.append(_format_attention(tables))

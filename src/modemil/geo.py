@@ -10,7 +10,7 @@ derivative, and movability (net displacement over distance travelled).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,12 +69,24 @@ class LocStream:
 
 @dataclass
 class MinuteGrid:
-    """Per-minute positions with an availability mask."""
+    """Per-minute positions with an availability mask.
+
+    The distance, duration and speed of each step between neighbouring slots
+    are computed once, at construction, for every window to slice.
+    """
 
     times: np.ndarray
     lats: np.ndarray
     lons: np.ndarray
     available: np.ndarray
+    step: np.ndarray = field(init=False, repr=False)  # meters, slot n to n + 1
+    dt: np.ndarray = field(init=False, repr=False)  # seconds
+    speed: np.ndarray = field(init=False, repr=False)  # m/s
+
+    def __post_init__(self):
+        self.step = haversine(self.lats[:-1], self.lons[:-1], self.lats[1:], self.lons[1:])
+        self.dt = np.diff(self.times)
+        self.speed = self.step / self.dt
 
 
 def fill_gaps(stream: LocStream, grid_start: float, n_slots: int) -> MinuteGrid:
@@ -131,7 +143,11 @@ def movability(lats: np.ndarray, lons: np.ndarray) -> float:
     """Net displacement over total path length; 0 when there is no movement."""
     if len(lats) < 2:
         return 0.0
-    total = float(np.sum(haversine(lats[:-1], lons[:-1], lats[1:], lons[1:])))
+    return _net_over_path(lats, lons, haversine(lats[:-1], lons[:-1], lats[1:], lons[1:]))
+
+
+def _net_over_path(lats: np.ndarray, lons: np.ndarray, steps: np.ndarray) -> float:
+    total = float(np.sum(steps))
     if total == 0.0:
         return 0.0
     net = haversine(lats[0], lons[0], lats[-1], lons[-1])
@@ -158,9 +174,8 @@ def loc_features(grid: MinuteGrid, start_slot: int = 0) -> LocWindow:
     if avail.sum() < 2:
         return window
 
-    step = haversine(lats[:-1], lons[:-1], lats[1:], lons[1:])
-    dt = np.diff(times)
-    speed = step / dt  # v[n] for n = 1..11
+    steps = slice(start_slot, start_slot + WINDOW_MINUTES - 1)
+    speed, dt = grid.speed[steps], grid.dt[steps]  # v[n] for n = 1..11
     v_ok = avail[:-1] & avail[1:]
     accel = np.diff(speed) / dt[1:]  # a[n] for n = 2..11
     a_ok = v_ok[:-1] & v_ok[1:]
@@ -174,5 +189,6 @@ def loc_features(grid: MinuteGrid, start_slot: int = 0) -> LocWindow:
     if a_ok.any():
         a = accel[a_ok]
         scalars[2], scalars[3] = a.mean(), a.std()
-    scalars[4] = movability(lats[avail], lons[avail])
+    # A window without gaps has its path's steps on the grid already.
+    scalars[4] = _net_over_path(lats, lons, grid.step[steps]) if avail.all() else movability(lats[avail], lons[avail])
     return window

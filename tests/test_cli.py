@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from modemil.bags import load_features, save_features
 from modemil.cli import main
 from modemil.model import ARCHITECTURES, WIRING
 from modemil.nn import load_arrays, save_arrays
@@ -148,6 +149,33 @@ def test_checkpoint_with_conv_biases_names_its_file(pipeline, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {old}: state mismatch: missing=[], unexpected=[")
     assert "accel_encoder.conv1.bias" in err
+
+
+def _evaluate_mismatch(capsys, features, model) -> str:
+    assert main(["evaluate", "--features", str(features), "--model", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: features {features} do not fit checkpoint {model}: ")
+    return err
+
+
+def test_features_without_the_checkpoints_placement_name_both_files(pipeline, capsys):
+    # A checkpoint trained on "Hand" bags against a features file that holds "Hips" only.
+    arrays, meta = load_arrays(pipeline / "run" / "checkpoint.npz")
+    hand = pipeline / "hand_checkpoint.npz"
+    save_arrays(hand, arrays, meta={**meta, "placement": "Hand"})
+    err = _evaluate_mismatch(capsys, pipeline / "features.npz", hand)
+    assert "has placements ('Hips',), not the checkpoint's 'Hand'" in err
+
+
+def test_features_of_another_spectrogram_shape_name_both_files(pipeline, capsys):
+    features = load_features(pipeline / "features.npz")
+    for f in features:
+        f.spectrograms = f.spectrograms[:, :, :, :40]
+    narrow = pipeline / "narrow_features.npz"
+    save_features(narrow, features)
+    model = pipeline / "run" / "checkpoint.npz"
+    err = _evaluate_mismatch(capsys, narrow, model)
+    assert "has spectrograms of shape (51, 40, 2), not (51, 51, 2)" in err
 
 
 def test_missing_placement_is_named(pipeline, capsys):

@@ -113,6 +113,19 @@ class TestBags:
         assert len(bags) == 4
         assert [r.target for r in bags.refs] == [11, 12, 13, 14]
 
+    def test_non_finite_sample_names_session_placement_and_minute(self):
+        rng = np.random.default_rng(7)
+        accel = {"Hips": rng.normal(size=(40 * 600, 3)), "Torso": rng.normal(size=(40 * 600, 3))}
+        accel["Torso"][23 * 600 + 599, 2] = np.inf  # minute 23's last sample
+        accel["Torso"][31 * 600, 0] = np.nan
+        accel["Torso"][40 * 600 - 1, 1] = np.nan
+        session = Session(user="u1", session_id="u1-s1", accel=accel, labels=np.full(40, 2))
+        with pytest.raises(ValueError, match=r"^u1-s1/Torso: minute 23 holds non-finite samples$"):
+            preprocess_session(session)
+        # samples past the labeled minutes are not read
+        accel["Torso"] = np.concatenate([rng.normal(size=(40 * 600, 3)), np.full((5, 3), np.nan)])
+        preprocess_session(session)
+
     def test_bag_count_never_exceeds_label_count(self):
         sessions = synth_generate(small_config(), np.random.default_rng(8))
         feats = [preprocess_session(s) for s in sessions]
