@@ -204,8 +204,14 @@ def _cmd_smooth(args, argv) -> int:
     arrays, meta = load_arrays(args.predictions)
     if meta.get("kind") != "predictions":
         raise ValueError(f"{args.predictions}: not a predictions file")
+    missing = [key for key in ("probs", "session", "stream", "target") if key not in arrays]
+    if missing:
+        raise ValueError(f"{args.predictions}: missing arrays {missing}")
     transitions, _ = load_transitions(args.transitions)
-    smoothed = viterbi_streams(arrays["probs"], arrays["session"], arrays["stream"], arrays["target"], transitions)
+    try:
+        smoothed = viterbi_streams(arrays["probs"], arrays["session"], arrays["stream"], arrays["target"], transitions)
+    except ValueError as exc:
+        raise ValueError(f"{args.predictions}: {exc}") from exc
     save_arrays(Path(args.out), {**arrays, "smoothed": smoothed}, meta=meta)
     if "labels" in arrays:
         metrics = classification_metrics(arrays["labels"], smoothed)
