@@ -112,32 +112,29 @@ def magnitude_jerk(
     Magnitude is the per-sample Euclidean norm (gravity retained); jerk is the
     norm of the sample-to-sample difference scaled by the sampling rate. The
     first jerk value uses ``previous_sample`` (the last sample before the
-    window) when given, otherwise it copies the second jerk value.
+    window) when given, otherwise it copies the second jerk value; no
+    spectrogram reads that value (see ``minute_spectrograms``).
 
-    Returns an (n, 2) matrix of (magnitude, jerk): the transpose of the
-    (2, n) rows that ``minute_spectrograms`` makes for a whole block.
+    Returns an (n, 2) matrix of (magnitude, jerk).
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[1] != 3:
         raise ValueError("expected an (n, 3) array of 3-axis samples")
     if not np.all(np.isfinite(samples)):
         raise ValueError("window contains non-finite samples")
-    return _magnitude_jerk(samples, max(len(samples), 1), previous_sample, f_s).T
+    return _magnitude_jerk(samples, previous_sample, f_s).T
 
 
-def _magnitude_jerk(samples: np.ndarray, window: int, previous_sample, f_s: float) -> np.ndarray:
-    """(2, n) magnitude and jerk rows of a stream of consecutive ``window``-sample windows.
+def _magnitude_jerk(samples: np.ndarray, previous_sample, f_s: float) -> np.ndarray:
+    """(2, n) magnitude and jerk rows of a stream of samples.
 
-    Each window's first jerk value is the 1-D norm of its step from the sample
-    before it, as in a one-window call with ``previous_sample``: a dot product,
-    whose rounding differs from the row norms'. The stream's first window
-    reads ``previous_sample`` or copies its second value.
+    The first jerk value is the 1-D norm of the step from ``previous_sample``
+    (a dot product, whose rounding differs from the row norms') or, without
+    one, a copy of the second value.
     """
     out = np.empty((2, len(samples)))
     out[0] = _row_norms(samples)
     out[1, 1:] = _row_norms(np.diff(samples, axis=0)) * f_s
-    for s in range(window, len(samples), window):
-        out[1, s] = np.linalg.norm(samples[s] - samples[s - 1]) * f_s
     if previous_sample is not None:
         out[1, 0] = np.linalg.norm(samples[0] - np.asarray(previous_sample, dtype=np.float64)) * f_s
     elif len(samples):
@@ -155,6 +152,7 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 
 
 def _hann(n: int) -> np.ndarray:
+    """Periodic Hann taper of ``n`` points; its first coefficient is exactly 0.0."""
     k = np.arange(n)
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * k / n)
 
@@ -176,16 +174,18 @@ def spectrogram(window: np.ndarray, bands: BandTable | None = None) -> np.ndarra
     return out[0]
 
 
-def minute_spectrograms(
-    samples: np.ndarray, previous_sample: np.ndarray | None, f_s: float, bands: BandTable, out: np.ndarray
-) -> None:
+def minute_spectrograms(samples: np.ndarray, f_s: float, bands: BandTable, out: np.ndarray) -> None:
     """Spectrograms of up to ``SPEC_BLOCK`` consecutive one-minute windows of a
     3-axis stream, written into ``out`` (minutes, segments, bands, 2).
 
     Each image has the bits of ``spectrogram(magnitude_jerk(window, previous,
-    f_s), bands)`` for its window; the caller checks the samples are finite.
+    f_s), bands)`` for its window whatever ``previous`` is, as long as the
+    jerk it gives is finite: it sets only the jerk of the window's sample 0,
+    which lies only in segment 0, where ``_hann(SEGMENT_SAMPLES)[0] == 0.0``.
+    So no sample before the block is read. The caller checks the samples are
+    finite.
     """
-    _log_power(_magnitude_jerk(samples, WINDOW_SAMPLES, previous_sample, f_s), bands, out)
+    _log_power(_magnitude_jerk(samples, None, f_s), bands, out)
 
 
 def _log_power(channels: np.ndarray, bands: BandTable, out: np.ndarray) -> None:

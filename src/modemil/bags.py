@@ -100,8 +100,7 @@ def preprocess_session(session: Session) -> SessionFeatures:
 
     def spectrogram_block(p: int, m0: int) -> None:
         samples = streams[p][m0 * WINDOW_SAMPLES : (m0 + SPEC_BLOCK) * WINDOW_SAMPLES]
-        previous = streams[p][m0 * WINDOW_SAMPLES - 1] if m0 > 0 else None
-        minute_spectrograms(samples, previous, session.accel_rate, bands, specs[p, m0 : m0 + SPEC_BLOCK])
+        minute_spectrograms(samples, session.accel_rate, bands, specs[p, m0 : m0 + SPEC_BLOCK])
 
     def location_windows() -> None:
         grid = fill_gaps(session.location, session.start_time, minutes)
@@ -183,17 +182,6 @@ class BagDataset:
     @property
     def n_instances(self) -> int:
         return len(self.refs[0].placement_rows) if self.refs else N_ACCEL_INSTANCES
-
-    @property
-    def labels(self) -> np.ndarray:
-        return np.array([r.label for r in self.refs], dtype=np.int64)
-
-    @property
-    def users(self) -> np.ndarray:
-        return np.array([self.features[r.session].user for r in self.refs])
-
-    def subset(self, indices) -> "BagDataset":
-        return BagDataset(self.features, [self.refs[i] for i in indices])
 
     def placement_names(self, ref: BagRef) -> tuple[str, ...]:
         placements = self.features[ref.session].placements

@@ -207,7 +207,7 @@ def _cmd_smooth(args, argv) -> int:
     missing = [key for key in ("probs", "session", "stream", "target") if key not in arrays]
     if missing:
         raise ValueError(f"{args.predictions}: missing arrays {missing}")
-    transitions, _ = load_transitions(args.transitions)
+    transitions = load_transitions(args.transitions)
     try:
         smoothed = viterbi_streams(arrays["probs"], arrays["session"], arrays["stream"], arrays["target"], transitions)
     except ValueError as exc:

@@ -132,7 +132,6 @@ class LocWindow:
     matrix: np.ndarray  # (10, 2) speed and speed-derivative rows
     scalars: np.ndarray  # mean_v, std_v, mean_dv, std_dv, movability
     available: np.ndarray  # (12,) per-minute availability
-    start_time: float = 0.0
 
     @property
     def availability(self) -> float:
@@ -164,13 +163,12 @@ def loc_features(grid: MinuteGrid, start_slot: int = 0) -> LocWindow:
     comes back fully masked.
     """
     sl = slice(start_slot, start_slot + WINDOW_MINUTES)
-    lats, lons = grid.lats[sl], grid.lons[sl]
-    times, avail = grid.times[sl], grid.available[sl]
+    lats, lons, avail = grid.lats[sl], grid.lons[sl], grid.available[sl]
     if len(lats) != WINDOW_MINUTES:
         raise ValueError(f"window needs {WINDOW_MINUTES} slots")
     matrix = np.zeros(LOC_SEQ_SHAPE)
     scalars = np.zeros(N_SCALARS)
-    window = LocWindow(matrix=matrix, scalars=scalars, available=avail.copy(), start_time=float(times[0]))
+    window = LocWindow(matrix=matrix, scalars=scalars, available=avail.copy())
     if avail.sum() < 2:
         return window
 

@@ -210,21 +210,24 @@ def save_transitions(path, transitions: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_transitions(path) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Read a matrix ``save_transitions`` wrote; every error names ``path``."""
+def load_transitions(path) -> np.ndarray:
+    """Read a matrix ``save_transitions`` wrote, whose header must list ``MODES``
+    in order; every error names ``path``."""
     lines = Path(path).read_text().strip().splitlines()
     if not lines or not lines[0].startswith("#"):
         raise ValueError(f"{path}: missing mode-order header")
     modes = tuple(lines[0][1:].split())
+    if modes != MODES:
+        raise ValueError(f"{path}: the header lists the modes {' '.join(modes)}, expected {' '.join(MODES)}")
     try:
         matrix = np.array([[float(v) for v in line.split()] for line in lines[1:]])
     except ValueError as exc:  # a non-number, or rows of unequal length
         raise ValueError(f"{path}: {exc}") from exc
-    if matrix.shape != (len(modes), len(modes)):
-        raise ValueError(f"{path}: matrix shape does not match the header")
+    if matrix.shape != (N_MODES, N_MODES):
+        raise ValueError(f"{path}: matrix shape {matrix.shape} does not match the header")
     bad = np.argwhere(~(np.isfinite(matrix) & (matrix >= 0.0)))
     if len(bad):
         row, col = bad[0]
         value = float(matrix[row, col])
         raise ValueError(f"{path}: row {row}, column {col} is {value}; entries must be finite and non-negative")
-    return matrix, modes
+    return matrix

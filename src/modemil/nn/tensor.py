@@ -358,27 +358,21 @@ def softmax(a, axis: int = -1) -> Tensor:
 def cce_loss(probs: Tensor, labels) -> Tensor:
     """Categorical cross-entropy on per-class probabilities.
 
-    ``probs`` holds values in (0, 1) per class (here: sigmoid outputs). For a
-    single vector the loss is -log(probs[label]); for a (batch, classes) matrix
-    it is the batch mean. Probabilities are clamped to [LOSS_EPS, 1 - LOSS_EPS],
-    and a clamped label probability gets a zero gradient. One node, with the
-    bits of the chain clamp, pick, log, mean, negate.
+    ``probs`` is a (batch, classes) matrix of values in (0, 1) per class (here:
+    sigmoid outputs) and ``labels`` holds one class per row; the loss is the
+    batch mean of -log(probs[row, label]). Probabilities are clamped to
+    [LOSS_EPS, 1 - LOSS_EPS], and a clamped label probability gets a zero
+    gradient. One node, with the bits of the chain clamp, pick, log, mean,
+    negate.
     """
     probs = _wrap(probs)
-    n_classes = probs.shape[-1]
-    labels_arr = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    labels_arr = np.asarray(labels, dtype=np.int64)
+    if probs.ndim != 2 or labels_arr.shape != probs.shape[:1]:
+        raise ValueError(f"expected (batch, classes) probs and one label per row, got {probs.shape}, {labels_arr.shape}")
+    n_classes = probs.shape[1]
     if labels_arr.min() < 0 or labels_arr.max() >= n_classes:
         raise ValueError(f"labels must lie in [0, {n_classes}), got {labels}")
-    if probs.ndim == 1:
-        if labels_arr.shape != (1,):
-            raise ValueError("a probability vector takes one label")
-        rows = (labels_arr,)
-    elif probs.ndim == 2:
-        if labels_arr.shape[0] != probs.shape[0]:
-            raise ValueError("one label per batch row is required")
-        rows = (np.arange(probs.shape[0]), labels_arr)
-    else:
-        raise ValueError("probs must be a vector or a (batch, classes) matrix")
+    rows = (np.arange(probs.shape[0]), labels_arr)
     p = probs.data
     picked = np.clip(p, LOSS_EPS, 1.0 - LOSS_EPS)[rows]
 

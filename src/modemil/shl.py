@@ -95,10 +95,15 @@ def ingest(
 
     A recording without a Label file is skipped; a missing placement motion
     file leaves that placement absent from the session (flagged in the ingest
-    report). Raises when no session can be built at all.
+    report). Raises when no session can be built at all, or when
+    ``accel_rate_in`` is not a whole multiple of 10 Hz, which block averaging
+    needs.
     """
     root = Path(root)
-    factor = int(round(accel_rate_in / TARGET_RATE))
+    factor = accel_rate_in / TARGET_RATE
+    if not (factor >= 1 and float(factor).is_integer()):
+        raise ValueError(f"accel_rate_in={accel_rate_in} Hz is not a whole multiple of {TARGET_RATE:g} Hz")
+    factor = int(factor)
     sessions: list[Session] = []
     for user_dir in sorted(p for p in root.iterdir() if p.is_dir()) if root.is_dir() else []:
         for rec_dir in sorted(p for p in user_dir.iterdir() if p.is_dir()):

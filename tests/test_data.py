@@ -350,7 +350,7 @@ class TestSplits:
         bags = build_bags(feats)
         for fold in loso_folds(feats, seed=1):
             train_idx, val_idx, test_idx = split_bags(bags, fold)
-            users = bags.users
+            users = [feats[r.session].user for r in bags.refs]
             assert not any(users[i] == fold.test_user for i in np.concatenate([train_idx, val_idx]))
             assert all(users[i] == fold.test_user for i in test_idx)
 
@@ -440,6 +440,14 @@ class TestIngest:
     def test_empty_root_raises(self, tmp_path):
         with pytest.raises(ValueError):
             ingest(tmp_path / "nothing")
+
+    @pytest.mark.parametrize("rate", [64, 5, 0, 15.5, float("nan")])
+    def test_rate_not_a_whole_multiple_of_10_hz_raises(self, tmp_path, rate):
+        # 64 Hz would block-average 6 rows into a 10.67 Hz stream labeled 10 Hz; 5 Hz
+        # would divide by a zero factor
+        write_shl_tree(tmp_path, users=("User1",), minutes=1, rate=64)
+        with pytest.raises(ValueError, match=f"accel_rate_in={rate} Hz is not a whole multiple of 10 Hz"):
+            ingest(tmp_path, accel_rate_in=rate)
 
     def test_round_trip_preserves_bags(self, tmp_path):
         write_shl_tree(tmp_path)

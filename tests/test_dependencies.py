@@ -1,7 +1,10 @@
 """The runtime dependency is numpy only: every absolute import in the package is
-the standard library, numpy or modemil itself."""
+the standard library, numpy or modemil itself. And every name a module exports
+in ``__all__`` exists."""
 
 import ast
+import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -28,3 +31,14 @@ def test_package_imports_only_stdlib_and_numpy():
         if name.partition(".")[0] not in ALLOWED
     }
     assert not foreign, sorted(foreign)
+
+
+def test_every_exported_name_resolves():
+    names = ["modemil"] + [m.name for m in pkgutil.walk_packages(modemil.__path__, "modemil.")]
+    assert len(names) >= 20
+    stale = []
+    for name in names:
+        module = importlib.import_module(name)
+        assert hasattr(module, "__all__"), name
+        stale += [f"{name}.{export}" for export in module.__all__ if not hasattr(module, export)]
+    assert not stale, stale

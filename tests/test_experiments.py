@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from modemil.bags import build_bags, mixed_streams, preprocess_session
+from modemil.bags import BagDataset, build_bags, mixed_streams, preprocess_session
 from modemil.experiments import (
     EXPERIMENT_KINDS,
     attention_report,
@@ -87,7 +87,7 @@ class TestSmoothing:
             by_session.setdefault(bags.refs[i].session, []).append(pos)
         for positions in by_session.values():
             alone = smooth_test_predictions(
-                bags.subset([indices[p] for p in positions]),
+                BagDataset(tiny_features, [bags.refs[indices[p]] for p in positions]),
                 np.arange(len(positions)),
                 probs[positions],
                 transitions,

@@ -130,9 +130,8 @@ def test_transition_matrix_text_round_trip(tmp_path):
     matrix = rng.dirichlet(np.ones(8), size=8)
     path = tmp_path / "transitions.txt"
     save_transitions(path, matrix)
-    loaded, modes = load_transitions(path)
-    np.testing.assert_allclose(loaded, matrix, atol=1e-15)
-    assert modes == ("still", "walk", "run", "bike", "car", "bus", "train", "subway")
+    np.testing.assert_allclose(load_transitions(path), matrix, atol=1e-15)
+    assert path.read_text().splitlines()[0] == "# still walk run bike car bus train subway"
 
 
 def per_key_streams(probs, sessions, streams, targets, transitions):

@@ -68,7 +68,7 @@ def ref_loc_features(grid, start_slot):
     times, avail = grid.times[sl], grid.available[sl]
     matrix = np.zeros(LOC_SEQ_SHAPE)
     scalars = np.zeros(N_SCALARS)
-    window = LocWindow(matrix=matrix, scalars=scalars, available=avail.copy(), start_time=float(times[0]))
+    window = LocWindow(matrix=matrix, scalars=scalars, available=avail.copy())
     if avail.sum() < 2:
         return window
     step = haversine(lats[:-1], lons[:-1], lats[1:], lons[1:])
@@ -211,8 +211,9 @@ def test_multi_bin_bands_keep_their_sums():
 
 
 def test_channel_stream_has_each_minutes_bits():
-    # The taper's first coefficient is exactly 0, so no image reads a window's first
-    # sample: the boundary jerk values are checked on the channels themselves.
+    # Blocks compute the stream's jerk without the sample before the block, so only
+    # each window's first jerk value may differ from a one-window call; the test
+    # below shows no image reads it.
     samples = _session(minutes=2 * SPEC_BLOCK + 1, seed=6).accel["Bag"]
     minutes = len(samples) // WINDOW_SAMPLES
     windows = [samples[m * WINDOW_SAMPLES : (m + 1) * WINDOW_SAMPLES] for m in range(minutes)]
@@ -220,6 +221,21 @@ def test_channel_stream_has_each_minutes_bits():
     for m, w in enumerate(windows):
         assert magnitude_jerk(w, samples[m * WINDOW_SAMPLES - 1] if m else None).tobytes() == want[m].tobytes()
     for m0 in (0, 1, SPEC_BLOCK):
-        previous = samples[m0 * WINDOW_SAMPLES - 1] if m0 else None
-        got = accel._magnitude_jerk(samples[m0 * WINDOW_SAMPLES :], WINDOW_SAMPLES, previous, 10.0).T
-        assert got.tobytes() == np.concatenate(want[m0:]).tobytes()
+        got = accel._magnitude_jerk(samples[m0 * WINDOW_SAMPLES :], None, 10.0).T.reshape(-1, WINDOW_SAMPLES, 2)
+        ref = np.stack(want[m0:])
+        assert got[:, :, 0].tobytes() == ref[:, :, 0].tobytes()
+        assert got[:, 1:, 1].tobytes() == ref[:, 1:, 1].tobytes()
+
+
+def test_no_image_reads_the_sample_before_its_window():
+    # Sample 0 of a window lies only in segment 0, at the taper's first coefficient.
+    assert accel._hann(SEGMENT_SAMPLES)[0] == 0.0
+    rng = np.random.default_rng(7)
+    bands = band_table()
+    window = _session(minutes=2, seed=7).accel["Bag"][WINDOW_SAMPLES : 2 * WINDOW_SAMPLES]
+    want = spectrogram(magnitude_jerk(window, None), bands).tobytes()
+    previous = [rng.normal(scale=s, size=3) for s in (1.0, 10.0, 1e3)] + [np.array([1e150, -1e150, 1e150])]
+    for prev in previous + [window[0], -window[0]]:
+        channels = magnitude_jerk(window, prev)
+        assert np.isfinite(channels).all()
+        assert spectrogram(channels, bands).tobytes() == want

@@ -1,9 +1,11 @@
 """Bad smoothing input fails loudly: mismatched keys, non-finite or negative rows
-and transition entries are rejected with the offending row or file named."""
+and transition entries, and a transition file in another mode order are rejected
+with the offending row or file named."""
 
 import numpy as np
 import pytest
 
+from modemil import MODES
 from modemil.cli import main
 from modemil.hmm import load_transitions, save_transitions, viterbi, viterbi_streams
 from modemil.nn import save_arrays
@@ -92,3 +94,22 @@ def test_smooth_names_missing_key_arrays(tmp_path, capsys):
     argv = ["smooth", "--predictions", str(predictions), "--transitions", str(transitions)]
     assert main(argv + ["--out", str(tmp_path / "smoothed.npz")]) == 1
     assert capsys.readouterr().err == f"error: {predictions}: missing arrays ['stream']\n"
+
+
+@pytest.mark.parametrize("modes", [MODES[::-1], MODES[:4]])
+def test_smooth_exits_1_on_transitions_in_another_mode_order(tmp_path, capsys, modes):
+    probs, sessions, streams, targets = keyed_rows()
+    predictions = tmp_path / "predictions.npz"
+    keys = {"session": sessions, "stream": streams, "target": targets}
+    save_arrays(predictions, {"probs": probs, **keys}, meta={"kind": "predictions"})
+    transitions = tmp_path / "transitions.txt"
+    matrix = np.full((len(modes), len(modes)), 1.0 / len(modes))
+    transitions.write_text("\n".join(["# " + " ".join(modes)] + [" ".join(map(str, row)) for row in matrix]) + "\n")
+    message = f"{transitions}: the header lists the modes {' '.join(modes)}, expected {' '.join(MODES)}"
+    with pytest.raises(ValueError) as raised:
+        load_transitions(transitions)
+    assert str(raised.value) == message
+    argv = ["smooth", "--predictions", str(predictions), "--transitions", str(transitions)]
+    assert main(argv + ["--out", str(tmp_path / "smoothed.npz")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "smoothed.npz").exists()

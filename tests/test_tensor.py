@@ -149,21 +149,21 @@ def test_first_gradient_is_broadcast_to_shape():
 
 class TestCceLoss:
     def test_certain_prediction_has_zero_loss(self):
-        probs = Tensor(np.array([0.0, 1.0, 0.0]))
-        assert abs(float(cce_loss(probs, 1).data)) < 1e-6
+        probs = Tensor(np.array([[0.0, 1.0, 0.0]]))
+        assert abs(float(cce_loss(probs, [1]).data)) < 1e-6
 
     def test_inverse_e_gives_unit_loss(self):
-        probs = Tensor(np.array([0.2, 1.0 / np.e, 0.4]))
-        assert abs(float(cce_loss(probs, 1).data) - 1.0) < 1e-12
+        probs = Tensor(np.array([[0.2, 1.0 / np.e, 0.4]]))
+        assert abs(float(cce_loss(probs, [1]).data) - 1.0) < 1e-12
 
     def test_matches_one_hot_oracle(self):
         rng = np.random.default_rng(6)
-        p = rng.uniform(0.05, 0.95, size=8)
+        p = rng.uniform(0.05, 0.95, size=(1, 8))
         label = 5
         one_hot = np.zeros(8)
         one_hot[label] = 1.0
-        oracle = -np.sum(one_hot * np.log(p))
-        assert abs(float(cce_loss(Tensor(p), label).data) - oracle) < 1e-12
+        oracle = -np.sum(one_hot * np.log(p[0]))
+        assert abs(float(cce_loss(Tensor(p), [label]).data) - oracle) < 1e-12
 
     def test_batch_loss_is_mean(self):
         rng = np.random.default_rng(7)
@@ -173,20 +173,24 @@ class TestCceLoss:
         assert abs(float(cce_loss(Tensor(p), labels).data) - oracle) < 1e-12
 
     def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            cce_loss(Tensor(np.full(8, 0.5)), 8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must lie in"):
+            cce_loss(Tensor(np.full((1, 8), 0.5)), [8])
+        with pytest.raises(ValueError, match="must lie in"):
             cce_loss(Tensor(np.full((2, 8), 0.5)), np.array([0, -1]))
 
-    def test_vector_takes_one_label(self):
-        with pytest.raises(ValueError, match="one label"):
-            cce_loss(Tensor(np.full(8, 0.5)), [1, 1])
+    @pytest.mark.parametrize(
+        "shape, labels",
+        [((8,), 1), ((8,), [1]), ((2, 2, 8), [1, 1]), ((2, 8), 1), ((2, 8), [1]), ((2, 8), [1, 1, 1]), ((2, 8), [[1, 1]])],
+    )
+    def test_takes_only_a_matrix_with_one_label_per_row(self, shape, labels):
+        with pytest.raises(ValueError, match="expected \\(batch, classes\\) probs and one label per row"):
+            cce_loss(Tensor(np.full(shape, 0.5)), labels)
 
 
 def _chain_loss(p, labels):
     """The loss and its gradient in ``p`` as the five-op chain clip, pick, log, mean, negate
     computed them, each backward step in the chain's order."""
-    rows = (labels,) if p.ndim == 1 else (np.arange(len(p)), labels)
+    rows = (np.arange(len(p)), labels)
     picked = np.clip(p, LOSS_EPS, 1.0 - LOSS_EPS)[rows]
     loss = -(np.log(picked).mean())
     grad = -np.ones(())  # negate
@@ -213,9 +217,8 @@ def _edge_probabilities(rng, shape):
 def test_cce_loss_has_the_bits_of_the_chain(seed):
     rng = np.random.default_rng(seed)
     cases = [_edge_probabilities(rng, (int(rng.integers(1, 70)), 8)) for _ in range(20)]
-    cases += [_edge_probabilities(rng, (8,)) for _ in range(20)]
     for p in cases:
-        labels = rng.integers(0, 8, size=len(p) if p.ndim == 2 else 1)
+        labels = rng.integers(0, 8, size=len(p))
         probs = Tensor(p, requires_grad=True)
         loss = cce_loss(probs, labels)
         loss.backward()

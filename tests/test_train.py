@@ -37,7 +37,7 @@ def toy():
     bags = build_bags(feats)
     fold = loso_folds(feats, seed=0)[0]
     train_idx, val_idx, test_idx = split_bags(bags, fold)
-    labels = bags.labels
+    labels = np.array([r.label for r in bags.refs])
     assert len(set(labels[train_idx])) == 2 and len(set(labels[val_idx])) == 2
     return feats, bags, fold, train_idx, val_idx, test_idx
 
