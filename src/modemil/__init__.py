@@ -15,10 +15,20 @@ Subpackages and modules:
 - ``modemil.cli``: command-line entry point
 """
 
+from dataclasses import fields
+
 __version__ = "0.1.0"
 
 MODES = ("still", "walk", "run", "bike", "car", "bus", "train", "subway")
 N_MODES = len(MODES)
 PLACEMENTS = ("Bag", "Hand", "Hips", "Torso")
 
-__all__ = ["MODES", "N_MODES", "PLACEMENTS", "__version__"]
+__all__ = ["MODES", "N_MODES", "PLACEMENTS", "__version__", "checked_keys"]
+
+
+def checked_keys(cls, values: dict) -> dict:
+    """``values``, whose keys must name fields of the dataclass ``cls``; the error names any other."""
+    unknown = sorted(set(values) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    return values

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import SPEC_BLOCK, SPEC_SHAPE, WINDOW_SAMPLES, band_table, mask_augment, minute_spectrograms
+from .accel import SAMPLE_RATE_HZ, SPEC_BLOCK, SPEC_SHAPE, WINDOW_SAMPLES, band_table, mask_augment, minute_spectrograms
 from .geo import LOC_SEQ_SHAPE, N_SCALARS, WINDOW_MINUTES, LocStream, fill_gaps, loc_features
 from .nn.checkpoint import load_arrays, save_arrays
 
@@ -52,7 +52,7 @@ class Session:
     labels: np.ndarray  # (n_minutes,) mode index, UNLABELED where unknown
     location: LocStream | None = None
     start_time: float = 0.0
-    accel_rate: float = 10.0
+    accel_rate: float = 10.0  # preprocessing takes 10 Hz only
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -89,6 +89,8 @@ def preprocess_session(session: Session) -> SessionFeatures:
     block is made of release the interpreter lock. The features do not depend
     on the block size or the number of workers.
     """
+    if session.accel_rate != SAMPLE_RATE_HZ:
+        raise ValueError(f"{session.session_id}: acceleration at {session.accel_rate} Hz, not {SAMPLE_RATE_HZ:g} Hz")
     bands = band_table()
     minutes = session.n_minutes
     placements = tuple(sorted(session.accel))
@@ -310,39 +312,31 @@ def mixed_streams(
     return BagDataset(features, refs)
 
 
+_FEATURE_ARRAYS = ("spectrograms", "loc_matrix", "loc_scalars", "loc_avail", "labels")  # per session
+_LOCATION_ARRAYS = ("times", "lats", "lons")  # per session with location
+
+
 def save_features(path, features: list[SessionFeatures]) -> None:
     """Cache preprocessed per-minute features in the named-tensor container."""
     arrays: dict[str, np.ndarray] = {}
     meta = []
     for i, f in enumerate(features):
         meta.append({"user": f.user, "session_id": f.session_id, "placements": list(f.placements)})
-        arrays[f"s{i}/spectrograms"] = f.spectrograms
-        arrays[f"s{i}/loc_matrix"] = f.loc_matrix
-        arrays[f"s{i}/loc_scalars"] = f.loc_scalars
-        arrays[f"s{i}/loc_avail"] = f.loc_avail
-        arrays[f"s{i}/labels"] = f.labels
+        arrays.update({f"s{i}/{name}": getattr(f, name) for name in _FEATURE_ARRAYS})
     save_arrays(path, arrays, meta={"kind": "features", "sessions": meta})
 
 
 def load_features(path) -> list[SessionFeatures]:
-    arrays, meta = load_arrays(path)
-    if meta.get("kind") != "features":
-        raise ValueError(f"{path}: not a feature cache")
-    features = []
-    for i, entry in enumerate(meta["sessions"]):
-        features.append(
-            SessionFeatures(
-                user=entry["user"],
-                session_id=entry["session_id"],
-                placements=tuple(entry["placements"]),
-                spectrograms=arrays[f"s{i}/spectrograms"],
-                loc_matrix=arrays[f"s{i}/loc_matrix"],
-                loc_scalars=arrays[f"s{i}/loc_scalars"],
-                loc_avail=arrays[f"s{i}/loc_avail"],
-                labels=arrays[f"s{i}/labels"],
-            )
+    arrays, meta = load_arrays(path, "features")
+    return [
+        SessionFeatures(
+            user=entry["user"],
+            session_id=entry["session_id"],
+            placements=tuple(entry["placements"]),
+            **{name: arrays[f"s{i}/{name}"] for name in _FEATURE_ARRAYS},
         )
-    return features
+        for i, entry in enumerate(meta["sessions"])
+    ]
 
 
 # -- session serialization -------------------------------------------------------
@@ -361,37 +355,27 @@ def save_sessions(path, sessions: list[Session]) -> None:
             "placements": sorted(s.accel),
             "has_location": s.location is not None,
         }
-        for placement in sorted(s.accel):
-            arrays[f"session{i}/accel/{placement}"] = s.accel[placement]
+        arrays.update({f"session{i}/accel/{placement}": s.accel[placement] for placement in sorted(s.accel)})
         arrays[f"session{i}/labels"] = s.labels
         if s.location is not None:
-            arrays[f"session{i}/loc/times"] = s.location.times
-            arrays[f"session{i}/loc/lats"] = s.location.lats
-            arrays[f"session{i}/loc/lons"] = s.location.lons
+            arrays.update({f"session{i}/loc/{name}": getattr(s.location, name) for name in _LOCATION_ARRAYS})
         meta.append(entry)
     save_arrays(path, arrays, meta={"kind": "sessions", "sessions": meta})
 
 
 def load_sessions(path) -> list[Session]:
-    arrays, meta = load_arrays(path)
-    if meta.get("kind") != "sessions":
-        raise ValueError(f"{path}: not a session archive")
+    arrays, meta = load_arrays(path, "sessions")
     sessions = []
     for i, entry in enumerate(meta["sessions"]):
-        accel = {p: arrays[f"session{i}/accel/{p}"] for p in entry["placements"]}
         location = None
         if entry["has_location"]:
-            location = LocStream(
-                times=arrays[f"session{i}/loc/times"],
-                lats=arrays[f"session{i}/loc/lats"],
-                lons=arrays[f"session{i}/loc/lons"],
-                session_id=entry["session_id"],
-            )
+            fixes = {name: arrays[f"session{i}/loc/{name}"] for name in _LOCATION_ARRAYS}
+            location = LocStream(**fixes, session_id=entry["session_id"])
         sessions.append(
             Session(
                 user=entry["user"],
                 session_id=entry["session_id"],
-                accel=accel,
+                accel={p: arrays[f"session{i}/accel/{p}"] for p in entry["placements"]},
                 labels=arrays[f"session{i}/labels"],
                 location=location,
                 start_time=entry["start_time"],

@@ -62,10 +62,14 @@ def _fold(features, seed: int, test_user: str | None):
     return folds[users.index(test_user)]
 
 
-def _load_train_config(path: str | None) -> TrainConfig:
+def _load_config(cls, path: str | None):
+    """The ``cls`` config a JSON file describes (the defaults without one); an error names the file."""
     if path is None:
-        return TrainConfig()
-    return TrainConfig.from_json(Path(path).read_text())
+        return cls()
+    try:
+        return cls.from_json(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _cmd_ingest(args, argv) -> int:
@@ -82,7 +86,7 @@ def _cmd_ingest(args, argv) -> int:
 
 
 def _cmd_synth(args, argv) -> int:
-    config = SynthConfig.from_json(Path(args.config).read_text()) if args.config else SynthConfig()
+    config = _load_config(SynthConfig, args.config)
     sessions = synth_generate(config, np.random.default_rng(args.seed))
     save_sessions(args.out, sessions)
     _write_manifest(Path(args.out).parent, "synth", argv, json.loads(config.to_json()), args.seed)
@@ -102,7 +106,7 @@ def _cmd_preprocess(args, argv) -> int:
 
 def _cmd_train(args, argv) -> int:
     features = load_features(args.features)
-    config = _load_train_config(args.config)
+    config = _load_config(TrainConfig, args.config)
     if args.seed is not None:
         config.seed = args.seed
     out_dir = Path(args.out)
@@ -132,14 +136,15 @@ def _cmd_train(args, argv) -> int:
 
 def _load_model(path) -> tuple[TransportModeClassifier, dict]:
     """A checkpoint's model and metadata; a config or a state that does not fit names the file."""
-    arrays, meta = load_arrays(path)
-    if meta.get("kind") != "model":
-        raise ValueError(f"{path}: not a model checkpoint")
+    arrays, meta = load_arrays(path, "model")
+    values = meta["config"]
     try:
-        model = build_model(TrainConfig.from_dict(meta["config"]))
+        config = TrainConfig.from_dict(values)
+        model = build_model(config)
         model.load_state_dict(arrays)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    meta["config"] = asdict(config)  # a config that omits fields reads as their defaults
     return model, meta
 
 
@@ -201,15 +206,11 @@ def _cmd_evaluate(args, argv) -> int:
 
 
 def _cmd_smooth(args, argv) -> int:
-    arrays, meta = load_arrays(args.predictions)
-    if meta.get("kind") != "predictions":
-        raise ValueError(f"{args.predictions}: not a predictions file")
-    missing = [key for key in ("probs", "session", "stream", "target") if key not in arrays]
-    if missing:
-        raise ValueError(f"{args.predictions}: missing arrays {missing}")
+    arrays, meta = load_arrays(args.predictions, "predictions")
+    keyed = [arrays[key] for key in ("probs", "session", "stream", "target")]
     transitions = load_transitions(args.transitions)
     try:
-        smoothed = viterbi_streams(arrays["probs"], arrays["session"], arrays["stream"], arrays["target"], transitions)
+        smoothed = viterbi_streams(*keyed, transitions)
     except ValueError as exc:
         raise ValueError(f"{args.predictions}: {exc}") from exc
     save_arrays(Path(args.out), {**arrays, "smoothed": smoothed}, meta=meta)
@@ -223,7 +224,7 @@ def _cmd_report(args, argv) -> int:
     run_dir = Path(args.run)
     out_dir = Path(args.out) if args.out else run_dir / "report"
     out_dir.mkdir(parents=True, exist_ok=True)
-    arrays, meta = load_arrays(run_dir / "predictions.npz")
+    arrays, _ = load_arrays(run_dir / "predictions.npz", "predictions")
     probs, labels = arrays["probs"], arrays["labels"]
     metrics = classification_metrics(labels, probs.argmax(axis=1))
 

@@ -120,16 +120,6 @@ def roc_tables(probs: np.ndarray, labels: np.ndarray) -> dict[str, np.ndarray]:
     return tables
 
 
-def _test_indices_by_placement(dataset: BagDataset, test_idx: np.ndarray) -> dict[str, np.ndarray]:
-    by_placement: dict[str, list[int]] = {}
-    for i in test_idx:
-        ref = dataset.refs[i]
-        names = set(dataset.placement_names(ref))
-        key = names.pop() if len(names) == 1 else "mixed"
-        by_placement.setdefault(key, []).append(i)
-    return {k: np.array(v, dtype=np.int64) for k, v in by_placement.items()}
-
-
 def run_experiment(
     kind: str,
     features: list[SessionFeatures],
@@ -177,8 +167,9 @@ def run_experiment(
                 dataset = build_bags(features, placement=None, n_instances=n_inst)
                 model, history = train_fold(run_config, features, fold, dataset)
                 _, _, test_idx = split_bags(dataset, fold)
-                for placement, idx in sorted(_test_indices_by_placement(dataset, test_idx).items()):
-                    record(fold, run, placement, model, dataset, idx, transitions, history)
+                names = np.array([dataset.placement_names(dataset.refs[i])[0] for i in test_idx], dtype=str)
+                for name in np.unique(names):  # each bag holds one placement's windows
+                    record(fold, run, str(name), model, dataset, test_idx[names == name], transitions, history)
             else:
                 n_streams = 1 if kind == "mixed-one" else 4
                 mix_rng = np.random.default_rng(run_seed + 17)
@@ -202,39 +193,36 @@ def attention_report(model: TransportModeClassifier, dataset: BagDataset, indice
     - ``modality``: mean (location, acceleration) attention mass
     - ``placement``: mean share of the within-bag acceleration attention per
       placement (meaningful on mixed streams, where bags mix placements)
+
+    The tables reduce one (bags, instances) weight matrix in a bag-by-bag
+    loop's order and have its bytes (``tests/test_experiments.py`` keeps it).
     """
     if not model.uses_attention:
         raise ValueError("attention tables need an attention-pooling architecture")
     n_acc = model.n_accel_instances
-    std_acc: dict[int, list[float]] = {c: [] for c in range(N_MODES)}
-    modality: dict[int, list[tuple[float, float]]] = {c: [] for c in range(N_MODES)}
-    placement_share: dict[int, list[dict[str, float]]] = {c: [] for c in range(N_MODES)}
     indices = np.asarray(indices, dtype=np.int64)
-    for span, _, result in predict_chunks(model, dataset, indices):
-        for b, i in enumerate(indices[span]):
-            ref = dataset.refs[i]
-            label = ref.label
-            weights = result.attention[b]
-            acc_w = weights[:n_acc]
-            std_acc[label].append(float((acc_w - acc_w[0]).std()))  # about w[0]: equal weights give 0
-            if model.uses_loc:
-                modality[label].append((float(weights[n_acc:].sum()), float(acc_w.sum())))
-            share = acc_w / acc_w.sum() if acc_w.sum() > 0 else np.full(n_acc, 1.0 / n_acc)
-            names = dataset.placement_names(ref)[-n_acc:]  # the windows the model saw
-            row: dict[str, float] = {}
-            for name, w in zip(names, share):
-                row[name] = row.get(name, 0.0) + float(w)
-            placement_share[label].append(row)
+    chunks = [result.attention for _, _, result in predict_chunks(model, dataset, indices)]
+    weights = np.concatenate(chunks or [np.empty((0, n_acc))])  # (bags, instances)
+    refs = [dataset.refs[i] for i in indices]
+    labels = np.array([ref.label for ref in refs], dtype=np.int64)
+    names = np.array([dataset.placement_names(ref)[-n_acc:] for ref in refs], dtype=str).reshape(-1, n_acc)
     placements = sorted({p for feat in dataset.features for p in feat.placements}) or list(PLACEMENTS)
-    table_std = np.array([np.mean(std_acc[c]) if std_acc[c] else np.nan for c in range(N_MODES)])
-    table_modality = np.array(
-        [np.mean(modality[c], axis=0) if modality[c] else (np.nan, np.nan) for c in range(N_MODES)]
-    )
+    acc_w = weights[:, :n_acc]
+    spread = (acc_w - acc_w[:, :1]).std(axis=1)  # about w[0]: equal weights give 0
+    pairs = np.column_stack([weights[:, n_acc:].sum(axis=1), acc_w.sum(axis=1)])  # (location, acceleration)
+    share = np.divide(acc_w, pairs[:, 1:], out=np.full_like(acc_w, 1.0 / n_acc), where=pairs[:, 1:] > 0)
+    shares = np.zeros((len(placements), len(refs)))  # per placement, summed over a bag's windows in order
+    for k in range(n_acc):  # the windows the model saw
+        shares += np.where(names[:, k] == np.array(placements)[:, None], share[:, k], 0.0)
+    table_std = np.full(N_MODES, np.nan)
+    table_modality = np.full((N_MODES, 2), np.nan)
     table_placement = np.full((N_MODES, len(placements)), np.nan)
-    for c in range(N_MODES):
-        if placement_share[c]:
-            for j, p in enumerate(placements):
-                table_placement[c, j] = float(np.mean([row.get(p, 0.0) for row in placement_share[c]]))
+    for c in np.unique(labels):
+        rows = labels == c
+        table_std[c] = spread[rows].mean()
+        table_placement[c] = [placement[rows].mean() for placement in shares]
+        if model.uses_loc:
+            table_modality[c] = pairs[rows].mean(axis=0)
     return {
         "modes": list(MODES),
         "weight_std": table_std,

@@ -35,8 +35,20 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
     np.savez(path, **payload)
 
 
-def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Arrays and metadata of an archive; a file that is not one raises a ``ValueError`` naming it."""
+class _Entries(dict):
+    """An archive's arrays or metadata: reading an absent entry raises a ``ValueError`` naming it."""
+
+    def __init__(self, entries: dict, path, what: str):
+        super().__init__(entries)
+        self._missing = f"{path}: missing {what}"
+
+    def __missing__(self, key):
+        raise ValueError(f"{self._missing} {key!r}")
+
+
+def load_arrays(path, kind: str | None = None) -> tuple[dict[str, np.ndarray], dict]:
+    """Arrays and metadata of an archive (of metadata ``kind``, if given); a file that is not one,
+    or an array or metadata field it lacks, raises a ``ValueError`` naming the file."""
     try:
         archive = np.load(path)
         arrays = {}  # a lone .npy array has no header
@@ -52,4 +64,7 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
         raise ValueError(f"{path}: unexpected format {header.get('format')!r}")
     if header.get("version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported version {header.get('version')!r}")
-    return arrays, header.get("meta", {})
+    meta = header.get("meta", {})
+    if kind is not None and meta.get("kind") != kind:
+        raise ValueError(f"{path}: not a {kind} archive")
+    return _Entries(arrays, path, "array"), _Entries(meta, path, "metadata field")

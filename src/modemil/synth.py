@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import MODES, PLACEMENTS
+from . import MODES, PLACEMENTS, checked_keys
 from .bags import Session
 from .geo import EARTH_RADIUS_M, LocStream
 
@@ -68,6 +68,10 @@ class SynthConfig:
     start_lon: float = 9.0
     templates: dict[str, ModeTemplate] = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not set(self.modes) <= set(MODES):
+            raise ValueError(f"unknown modes {sorted(set(self.modes) - set(MODES))}; choose from {MODES}")
+
     def template(self, mode: str) -> ModeTemplate:
         return self.templates.get(mode, DEFAULT_TEMPLATES[mode])
 
@@ -78,9 +82,9 @@ class SynthConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SynthConfig":
-        payload = json.loads(text)
+        payload = checked_keys(cls, json.loads(text))
         templates = {
-            k: ModeTemplate(**{**v, "speed_range": tuple(v["speed_range"])})
+            k: ModeTemplate(**checked_keys(ModeTemplate, {**v, "speed_range": tuple(v["speed_range"])}))
             for k, v in payload.pop("templates", {}).items()
         }
         payload["modes"] = tuple(payload.get("modes", MODES))

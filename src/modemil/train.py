@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from . import N_MODES
+from . import N_MODES, checked_keys
 from .bags import BagDataset, SessionFeatures, build_bags, build_windows
 from .model import ARCHITECTURES, TransportModeClassifier
 from .nn import Adam, cce_loss
@@ -76,10 +76,7 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, values: dict) -> "TrainConfig":
         """The config a JSON object describes; unknown keys are named in the error."""
-        unknown = sorted(set(values) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown TrainConfig keys: {', '.join(unknown)}")
-        return cls(**values)
+        return cls(**checked_keys(cls, values))
 
     @classmethod
     def from_json(cls, text: str) -> "TrainConfig":

@@ -1,10 +1,12 @@
 """End-to-end command-line pipeline on a miniature synthetic dataset."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from modemil import MODES
 from modemil.bags import load_features, save_features
 from modemil.cli import main
 from modemil.model import ARCHITECTURES, WIRING
@@ -149,6 +151,65 @@ def test_checkpoint_with_conv_biases_names_its_file(pipeline, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {old}: state mismatch: missing=[], unexpected=[")
     assert "accel_encoder.conv1.bias" in err
+
+
+def _one_error_line(capsys, argv, message):
+    """``modemil argv`` exits 1 printing ``error: message`` and nothing else (no traceback)."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_feature_cache_missing_an_array_names_file_and_array(pipeline, capsys):
+    arrays, meta = load_arrays(pipeline / "features.npz")
+    del arrays["s0/loc_avail"]
+    broken = pipeline / "features_without_avail.npz"
+    save_arrays(broken, arrays, meta=meta)
+    args = ["train", "--features", str(broken), "--out", str(pipeline / "run_broken")]
+    _one_error_line(capsys, args, f"{broken}: missing array 's0/loc_avail'")
+    assert not (pipeline / "run_broken").exists()
+
+
+def test_checkpoint_without_config_names_file_and_field(pipeline, capsys):
+    arrays, meta = load_arrays(pipeline / "run" / "checkpoint.npz")
+    del meta["config"]
+    checkpoint = pipeline / "configless_checkpoint.npz"
+    save_arrays(checkpoint, arrays, meta=meta)
+    args = ["evaluate", "--features", str(pipeline / "features.npz"), "--model", str(checkpoint)]
+    _one_error_line(capsys, args, f"{checkpoint}: missing metadata field 'config'")
+
+
+def test_checkpoint_config_without_newer_fields_reads_their_defaults(pipeline, capsys):
+    arrays, meta = load_arrays(pipeline / "run" / "checkpoint.npz")
+    config = {key: meta["config"][key] for key in ("arch", "seed")}
+    checkpoint = pipeline / "partial_checkpoint.npz"
+    save_arrays(checkpoint, arrays, meta={**meta, "config": config})
+    out = pipeline / "eval_partial"
+    args = ["evaluate", "--features", str(pipeline / "features.npz"), "--model", str(checkpoint), "--out", str(out)]
+    assert main(args) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"] == asdict(TrainConfig(**config))
+
+
+def test_report_rejects_an_archive_of_another_kind(pipeline, capsys):
+    run = pipeline / "run_of_features"
+    run.mkdir()
+    (run / "predictions.npz").write_bytes((pipeline / "features.npz").read_bytes())
+    _one_error_line(capsys, ["report", "--run", str(run)], f"{run / 'predictions.npz'}: not a predictions archive")
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"n_user": 2}, "unknown SynthConfig keys: n_user"),
+        ({"modes": ["still", "plane"]}, f"unknown modes ['plane']; choose from {MODES}"),
+    ],
+)
+def test_synth_config_errors_name_the_file(tmp_path, capsys, config, message):
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps(config))
+    args = ["synth", "--config", str(path), "--out", str(tmp_path / "sessions.npz")]
+    _one_error_line(capsys, args, f"{path}: {message}")
+    assert not (tmp_path / "sessions.npz").exists()
 
 
 def _evaluate_mismatch(capsys, features, model) -> str:

@@ -1,5 +1,7 @@
 """Dataset plumbing: synthetic generation, bags, splits, ingestion, round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from modemil.bags import (
     save_sessions,
 )
 from modemil.geo import WINDOW_MINUTES, haversine
+from modemil.nn import load_arrays, save_arrays
 from modemil.shl import ColumnMap, ingest, ingest_report
 from modemil.splits import label_streams, loso_folds, split_bags
 from modemil.synth import SynthConfig, synth_generate
@@ -98,6 +101,16 @@ class TestSynth:
         clone = SynthConfig.from_json(cfg.to_json())
         assert clone == cfg
 
+    def test_config_json_names_unknown_keys_and_modes(self):
+        with pytest.raises(ValueError, match=r"^unknown SynthConfig keys: n_user, seed$"):
+            SynthConfig.from_json('{"n_user": 2, "seed": 1, "n_users": 2}')
+        with pytest.raises(ValueError, match=r"^unknown ModeTemplate keys: freq$"):
+            SynthConfig.from_json('{"templates": {"run": {"freq": 3.0, "speed_range": [2.0, 3.0]}}}')
+        with pytest.raises(ValueError, match=r"^unknown modes \['plane'\]; choose from \('still', "):
+            SynthConfig.from_json('{"modes": ["still", "plane"]}')
+        with pytest.raises(ValueError, match=r"^unknown modes \['Walk', 'plane'\]"):
+            small_config(modes=("plane", "Walk", "run"))
+
 
 class TestBags:
     def test_fifteen_minute_session_yields_four_bags(self):
@@ -125,6 +138,14 @@ class TestBags:
         # samples past the labeled minutes are not read
         accel["Torso"] = np.concatenate([rng.normal(size=(40 * 600, 3)), np.full((5, 3), np.nan)])
         preprocess_session(session)
+
+    @pytest.mark.parametrize("rate", [20.0, 100.0, 9.99, float("nan")])
+    def test_session_not_at_10_hz_is_rejected(self, rate):
+        # at 20 Hz a 600-sample "minute" is 30 s long, and only the stream's first half would be read
+        accel = {"Hips": np.zeros((30 * 600, 3))}
+        session = Session(user="u1", session_id="u1-s1", accel=accel, labels=np.full(30, 2), accel_rate=rate)
+        with pytest.raises(ValueError, match=rf"^u1-s1: acceleration at {rate} Hz, not 10 Hz$"):
+            preprocess_session(session)
 
     def test_bag_count_never_exceeds_label_count(self):
         sessions = synth_generate(small_config(), np.random.default_rng(8))
@@ -477,6 +498,28 @@ class TestIngest:
         mapping = ColumnMap(time=3, acc=(2, 1, 0))
         sessions = ingest(tmp_path, column_map=mapping, accel_rate_in=rate, placements=("Hips",))
         np.testing.assert_allclose(sessions[0].accel["Hips"], acc[: len(sessions[0].accel["Hips"])], atol=1e-6)
+
+
+def test_archive_readers_name_the_file_and_a_missing_entry(tmp_path):
+    sessions = synth_generate(small_config(minutes_per_session=20), np.random.default_rng(18))
+    path = tmp_path / "sessions.npz"
+    name = re.escape(str(path))
+    save_sessions(path, sessions)
+    with pytest.raises(ValueError, match=rf"^{name}: not a features archive$"):
+        load_features(path)
+    arrays, meta = load_arrays(path)
+    del arrays["session1/loc/lats"]
+    save_arrays(path, arrays, meta=meta)
+    with pytest.raises(ValueError, match=rf"^{name}: missing array 'session1/loc/lats'$"):
+        load_sessions(path)
+    save_arrays(path, arrays, meta={"kind": "sessions"})
+    with pytest.raises(ValueError, match=rf"^{name}: missing metadata field 'sessions'$"):
+        load_sessions(path)
+    with pytest.raises(ValueError, match=rf"^{name}: not a model archive$"):
+        load_arrays(path, "model")
+    # without a kind any archive reads, and membership tests and .get still answer for absent entries
+    arrays, meta = load_arrays(path)
+    assert "session1/loc/lats" not in arrays and arrays.get("x") is None and meta.get("config") is None
 
 
 def test_feature_cache_round_trip(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from modemil import MODES, N_MODES
 from modemil.bags import BagDataset, build_bags, mixed_streams, preprocess_session
 from modemil.experiments import (
     EXPERIMENT_KINDS,
@@ -15,7 +16,7 @@ from modemil.hmm import estimate_transitions
 from modemil.model import ForwardResult, TransportModeClassifier
 from modemil.nn import Tensor
 from modemil.synth import ModeTemplate, SynthConfig, synth_generate
-from modemil.train import TrainConfig
+from modemil.train import TrainConfig, predict_chunks
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +127,64 @@ class TestSmoothing:
         assert (smoothed == 2).mean() > (probs.argmax(axis=1) == 2).mean()
 
 
+def attention_tables_per_bag(model, dataset, indices):
+    """``attention_report``'s tables bag by bag, through per-class lists: the reference its
+    matrix form must match byte for byte."""
+    n_acc = model.n_accel_instances
+    std_acc = {c: [] for c in range(N_MODES)}
+    modality = {c: [] for c in range(N_MODES)}
+    placement_share = {c: [] for c in range(N_MODES)}
+    for span, _, result in predict_chunks(model, dataset, indices):
+        for b, i in enumerate(indices[span]):
+            ref = dataset.refs[i]
+            weights = result.attention[b]
+            acc_w = weights[:n_acc]
+            std_acc[ref.label].append(float((acc_w - acc_w[0]).std()))
+            if model.uses_loc:
+                modality[ref.label].append((float(weights[n_acc:].sum()), float(acc_w.sum())))
+            share = acc_w / acc_w.sum() if acc_w.sum() > 0 else np.full(n_acc, 1.0 / n_acc)
+            row = {}
+            for name, w in zip(dataset.placement_names(ref)[-n_acc:], share):
+                row[name] = row.get(name, 0.0) + float(w)
+            placement_share[ref.label].append(row)
+    placements = sorted({p for feat in dataset.features for p in feat.placements})
+    table_placement = np.full((N_MODES, len(placements)), np.nan)
+    for c in range(N_MODES):
+        if placement_share[c]:
+            for j, p in enumerate(placements):
+                table_placement[c, j] = float(np.mean([row.get(p, 0.0) for row in placement_share[c]]))
+    return {
+        "modes": list(MODES),
+        "weight_std": np.array([np.mean(std_acc[c]) if std_acc[c] else np.nan for c in range(N_MODES)]),
+        "modality": np.array([np.mean(modality[c], axis=0) if modality[c] else [np.nan] * 2 for c in range(N_MODES)]),
+        "placements": placements,
+        "placement": table_placement,
+    }
+
+
 class TestAttentionReport:
+    @pytest.mark.parametrize("arch", ["fusion_mil", "acc_mil", "fusion_concat_pp"])
+    @pytest.mark.parametrize("bags, n_acc", [("plain", 3), ("5-window", 3), ("mixed", 3), ("mixed", 9)])
+    def test_tables_have_the_bytes_of_the_per_bag_reference(self, tiny_features, arch, bags, n_acc):
+        dataset = {
+            "plain": lambda: build_bags(tiny_features),
+            "5-window": lambda: build_bags(tiny_features, n_instances=5),
+            "mixed": lambda: mixed_streams(tiny_features, 2, np.random.default_rng(8), 2.0, n_acc),
+        }[bags]()
+        model = TransportModeClassifier(arch, n_accel_instances=n_acc, seed=9)
+        idx = np.unique(np.linspace(0, len(dataset) - 1, 70).astype(np.int64))
+        got, expected = attention_report(model, dataset, idx), attention_tables_per_bag(model, dataset, idx)
+        assert (got["modes"], got["placements"]) == (expected["modes"], expected["placements"])
+        for key in ("weight_std", "modality", "placement"):
+            assert got[key].shape == expected[key].shape
+            assert got[key].tobytes() == expected[key].tobytes(), key
+        assert np.isfinite(got["placement"][[MODES.index("still"), MODES.index("run")]]).all()
+
+    def test_no_bags_give_empty_tables(self, tiny_features):
+        tables = attention_report(TransportModeClassifier("fusion_mil", seed=1), build_bags(tiny_features), [])
+        for key in ("weight_std", "modality", "placement"):
+            assert np.isnan(tables[key]).all()
+
     def test_identical_instances_have_zero_weight_spread(self):
         # a perfectly constant stream: every window identical, so attention
         # cannot prefer any instance and the within-bag std collapses to 0

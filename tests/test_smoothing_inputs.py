@@ -93,7 +93,7 @@ def test_smooth_names_missing_key_arrays(tmp_path, capsys):
     save_transitions(transitions, TRANSITIONS)
     argv = ["smooth", "--predictions", str(predictions), "--transitions", str(transitions)]
     assert main(argv + ["--out", str(tmp_path / "smoothed.npz")]) == 1
-    assert capsys.readouterr().err == f"error: {predictions}: missing arrays ['stream']\n"
+    assert capsys.readouterr().err == f"error: {predictions}: missing array 'stream'\n"
 
 
 @pytest.mark.parametrize("modes", [MODES[::-1], MODES[:4]])
