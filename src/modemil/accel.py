@@ -179,7 +179,8 @@ def minute_spectrograms(samples: np.ndarray, f_s: float, bands: BandTable, out: 
     3-axis stream, written into ``out`` (minutes, segments, bands, 2).
 
     Each image has the bits of ``spectrogram(magnitude_jerk(window, previous,
-    f_s), bands)`` for its window whatever ``previous`` is, as long as the
+    f_s), bands)``, rounded once to ``out``'s dtype (float32 in
+    ``preprocess_session``), for its window whatever ``previous`` is, as long as the
     jerk it gives is finite: it sets only the jerk of the window's sample 0,
     which lies only in segment 0, where ``_hann(SEGMENT_SAMPLES)[0] == 0.0``.
     So no sample before the block is read. The caller checks the samples are
@@ -219,8 +220,13 @@ def mask_augment(spec: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     stripes to both channels. Masked cells take their channel's mean over the
     unmasked cells. Draw order: stripe counts (frequency then time), then per
     stripe its extent and position.
+
+    A float32 image comes back in float32, its fill the float64 channel mean
+    rounded once; any other input is taken as float64.
     """
-    spec = np.asarray(spec, dtype=np.float64)
+    spec = np.asarray(spec)
+    if spec.dtype != np.float32:
+        spec = spec.astype(np.float64, copy=False)
     n_time, n_band, n_ch = spec.shape
     k_f = int(rng.integers(0, 3))
     k_t = int(rng.integers(0, 3))
@@ -241,7 +247,7 @@ def mask_augment(spec: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     cell_mask = time_mask[:, None] | band_mask[None, :]
     out = spec.copy()
     for ch in range(n_ch):
-        fill = spec[:, :, ch][~cell_mask].mean()
+        fill = spec[:, :, ch][~cell_mask].mean(dtype=np.float64)
         out[:, :, ch][cell_mask] = fill
     return out
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .accel import SAMPLE_RATE_HZ, SPEC_BLOCK, SPEC_SHAPE, WINDOW_SAMPLES, band_table, mask_augment, minute_spectrograms
 from .geo import LOC_SEQ_SHAPE, N_SCALARS, WINDOW_MINUTES, LocStream, fill_gaps, loc_features
-from .nn.checkpoint import load_arrays, save_arrays
+from .nn.checkpoint import _Entries, load_arrays, save_arrays
 
 __all__ = [
     "Session",
@@ -64,16 +64,19 @@ class Session:
 
 @dataclass
 class SessionFeatures:
-    """Cached per-minute features of one session."""
+    """Cached per-minute features of one session; float64 spectrograms (an older cache's) are rounded to float32."""
 
     user: str
     session_id: str
     placements: tuple[str, ...]
-    spectrograms: np.ndarray  # (n_placements, n_minutes, 51, 51, 2)
+    spectrograms: np.ndarray  # (n_placements, n_minutes, 51, 51, 2) float32
     loc_matrix: np.ndarray  # (n_minutes, 10, 2), zeros before minute 11
     loc_scalars: np.ndarray  # (n_minutes, 5)
     loc_avail: np.ndarray  # (n_minutes,) availability fraction of the window
     labels: np.ndarray  # (n_minutes,)
+
+    def __post_init__(self):
+        self.spectrograms = np.asarray(self.spectrograms, dtype=np.float32)
 
     @property
     def n_minutes(self) -> int:
@@ -95,7 +98,7 @@ def preprocess_session(session: Session) -> SessionFeatures:
     minutes = session.n_minutes
     placements = tuple(sorted(session.accel))
     streams = [_checked_stream(session, placement) for placement in placements]
-    specs = np.empty((len(placements), minutes, *SPEC_SHAPE))
+    specs = np.empty((len(placements), minutes, *SPEC_SHAPE), dtype=np.float32)
     loc_matrix = np.zeros((minutes, *LOC_SEQ_SHAPE))
     loc_scalars = np.zeros((minutes, N_SCALARS))
     loc_avail = np.zeros(minutes)
@@ -205,7 +208,7 @@ class BagDataset:
         indices = np.asarray(indices, dtype=np.int64)
         n = len(indices)
         n_inst = self.n_instances
-        acc = np.empty((n, n_inst, *SPEC_SHAPE))
+        acc = np.empty((n, n_inst, *SPEC_SHAPE), dtype=np.float32)
         loc_seq = np.empty((n, *LOC_SEQ_SHAPE))
         loc_scalars = np.empty((n, N_SCALARS))
         labels = np.empty(n, dtype=np.int64)
@@ -327,7 +330,8 @@ def save_features(path, features: list[SessionFeatures]) -> None:
 
 
 def load_features(path) -> list[SessionFeatures]:
-    arrays, meta = load_arrays(path, "features")
+    """Features a cache holds; float64 spectrograms (an older cache) load rounded to float32."""
+    arrays, entries = _session_entries(path, "features")
     return [
         SessionFeatures(
             user=entry["user"],
@@ -335,8 +339,15 @@ def load_features(path) -> list[SessionFeatures]:
             placements=tuple(entry["placements"]),
             **{name: arrays[f"s{i}/{name}"] for name in _FEATURE_ARRAYS},
         )
-        for i, entry in enumerate(meta["sessions"])
+        for i, entry in enumerate(entries)
     ]
+
+
+def _session_entries(path, kind: str):
+    """Arrays and per-session metadata of an archive of ``kind``; reading a field a session's
+    entry lacks raises a ``ValueError`` naming the file, the entry and the field."""
+    arrays, meta = load_arrays(path, kind)
+    return arrays, [_Entries(entry, path, f"sessions[{i}] field") for i, entry in enumerate(meta["sessions"])]
 
 
 # -- session serialization -------------------------------------------------------
@@ -364,9 +375,9 @@ def save_sessions(path, sessions: list[Session]) -> None:
 
 
 def load_sessions(path) -> list[Session]:
-    arrays, meta = load_arrays(path, "sessions")
+    arrays, entries = _session_entries(path, "sessions")
     sessions = []
-    for i, entry in enumerate(meta["sessions"]):
+    for i, entry in enumerate(entries):
         location = None
         if entry["has_location"]:
             fixes = {name: arrays[f"session{i}/loc/{name}"] for name in _LOCATION_ARRAYS}

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import MODES, PLACEMENTS, checked_keys
+from . import MODES, PLACEMENTS, check_field_types, checked_keys
 from .bags import Session
 from .geo import EARTH_RADIUS_M, LocStream
 
@@ -38,6 +38,9 @@ class ModeTemplate:
     speed_range: tuple[float, float]  # m/s
     bearing_wobble: float = 0.1  # radians per minute
     loc_availability: float = 1.0
+
+    def __post_init__(self):
+        check_field_types(self)
 
 
 DEFAULT_TEMPLATES: dict[str, ModeTemplate] = {
@@ -69,6 +72,7 @@ class SynthConfig:
     templates: dict[str, ModeTemplate] = field(default_factory=dict)
 
     def __post_init__(self):
+        check_field_types(self)
         if not set(self.modes) <= set(MODES):
             raise ValueError(f"unknown modes {sorted(set(self.modes) - set(MODES))}; choose from {MODES}")
 

@@ -5,11 +5,11 @@ model with the pre-trained weights frozen)."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import N_MODES, checked_keys
+from . import N_MODES, check_field_types, checked_keys
 from .bags import BagDataset, SessionFeatures, build_bags, build_windows
 from .model import ARCHITECTURES, TransportModeClassifier
 from .nn import Adam, cce_loss
@@ -30,7 +30,6 @@ __all__ = [
 
 PRETRAIN_MODES = ("none", "loc", "accel", "both")
 PREDICT_BATCH = 128  # bags per inference chunk
-_FIELD_TYPES = {"str": str, "bool": bool, "int": int, "float": (int, float)}
 
 
 @dataclass
@@ -50,11 +49,7 @@ class TrainConfig:
     resample_placement: bool = False  # one placement per bag per epoch
 
     def __post_init__(self):
-        for f in fields(self):  # each value against its annotation; a bool is no number here
-            value, (kind, _, optional) = getattr(self, f.name), f.type.partition(" | ")
-            wrong = not isinstance(value, _FIELD_TYPES[kind]) or (isinstance(value, bool) and kind != "bool")
-            if wrong and not (value is None and optional == "None"):
-                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        check_field_types(self)
         if self.arch not in ARCHITECTURES:
             raise ValueError(f"arch must be one of {ARCHITECTURES}")
         if self.pretrain not in PRETRAIN_MODES:

@@ -236,3 +236,22 @@ class TestMaskAugment:
         b = mask_augment(spec, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
 
+    def test_float32_window_gives_the_float64_result_rounded_once(self):
+        spec = np.random.default_rng(13).normal(scale=4.0, size=(51, 51, 2)).astype(np.float32)
+        for seed in range(20):
+            got = mask_augment(spec, np.random.default_rng(seed))
+            want = mask_augment(spec.astype(np.float64), np.random.default_rng(seed)).astype(np.float32)
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
+
+    def test_float64_fill_is_the_plain_channel_mean(self):
+        spec = np.random.default_rng(14).normal(size=(51, 51, 2))
+        out = mask_augment(spec, ScriptedRng([1, 1, 3, 10, 2, 20]))
+        cell_mask = np.zeros((51, 51), dtype=bool)
+        cell_mask[:, 10:13] = cell_mask[20:22] = True
+        assert out.dtype == np.float64
+        for ch in range(2):
+            fill = spec[:, :, ch][~cell_mask].mean()
+            assert out[:, :, ch][cell_mask].tobytes() == np.full(cell_mask.sum(), fill).tobytes()
+            assert out[:, :, ch][~cell_mask].tobytes() == spec[:, :, ch][~cell_mask].tobytes()
+

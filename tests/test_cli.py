@@ -170,6 +170,16 @@ def test_feature_cache_missing_an_array_names_file_and_array(pipeline, capsys):
     assert not (pipeline / "run_broken").exists()
 
 
+def test_feature_cache_session_without_a_field_names_file_and_field(pipeline, capsys):
+    arrays, meta = load_arrays(pipeline / "features.npz")
+    del meta["sessions"][0]["user"]
+    broken = pipeline / "features_without_user.npz"
+    save_arrays(broken, arrays, meta=meta)
+    args = ["train", "--features", str(broken), "--out", str(pipeline / "run_userless")]
+    _one_error_line(capsys, args, f"{broken}: missing sessions[0] field 'user'")
+    assert not (pipeline / "run_userless").exists()
+
+
 def test_checkpoint_without_config_names_file_and_field(pipeline, capsys):
     arrays, meta = load_arrays(pipeline / "run" / "checkpoint.npz")
     del meta["config"]
@@ -202,6 +212,7 @@ def test_report_rejects_an_archive_of_another_kind(pipeline, capsys):
     [
         ({"n_user": 2}, "unknown SynthConfig keys: n_user"),
         ({"modes": ["still", "plane"]}, f"unknown modes ['plane']; choose from {MODES}"),
+        ({"n_users": "2"}, "n_users must be int, got '2'"),
     ],
 )
 def test_synth_config_errors_name_the_file(tmp_path, capsys, config, message):

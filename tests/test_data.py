@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from modemil import MODES
-from modemil.accel import band_table
+from modemil.accel import WINDOW_SAMPLES, band_table, magnitude_jerk, spectrogram
 from modemil.bags import (
     UNLABELED,
     BagRef,
@@ -24,7 +24,8 @@ from modemil.geo import WINDOW_MINUTES, haversine
 from modemil.nn import load_arrays, save_arrays
 from modemil.shl import ColumnMap, ingest, ingest_report
 from modemil.splits import label_streams, loso_folds, split_bags
-from modemil.synth import SynthConfig, synth_generate
+from modemil.synth import ModeTemplate, SynthConfig, synth_generate
+from modemil.train import TrainConfig
 
 
 def small_config(**overrides):
@@ -110,6 +111,23 @@ class TestSynth:
             SynthConfig.from_json('{"modes": ["still", "plane"]}')
         with pytest.raises(ValueError, match=r"^unknown modes \['Walk', 'plane'\]"):
             small_config(modes=("plane", "Walk", "run"))
+
+    def test_config_values_are_checked_against_their_field_types(self):
+        for make, message in (
+            (lambda: SynthConfig.from_json('{"n_users": "2"}'), "n_users must be int, got '2'"),
+            (lambda: small_config(minutes_per_session=60.0), "minutes_per_session must be int, got 60.0"),
+            (lambda: small_config(corruption_rate=True), "corruption_rate must be float, got True"),
+            (lambda: ModeTemplate(1.0, "2", 0.1, (1.0, 2.0)), "accel_amp must be float, got '2'"),
+            (lambda: TrainConfig(lr=True), "lr must be float, got True"),
+            (lambda: TrainConfig.from_json('{"batch_size": "32"}'), "batch_size must be int, got '32'"),
+            (lambda: TrainConfig(stop_accuracy="0.9"), "stop_accuracy must be float | None, got '0.9'"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                make()
+        # an int passes as a float, and None where the annotation allows it
+        assert small_config(dwell_mean_minutes=8).dwell_mean_minutes == 8
+        assert ModeTemplate(2, 2, 0, (1, 2)).accel_freq == 2
+        assert TrainConfig(lr=1, stop_accuracy=None).lr == 1
 
 
 class TestBags:
@@ -532,3 +550,57 @@ def test_feature_cache_round_trip(tmp_path):
     np.testing.assert_array_equal(reloaded[0].spectrograms, feats[0].spectrograms)
     np.testing.assert_array_equal(reloaded[0].labels, feats[0].labels)
     assert reloaded[0].placements == feats[0].placements
+
+
+def test_spectrograms_are_float32_from_preprocessing_to_the_batch():
+    features = [preprocess_session(s) for s in synth_generate(small_config(), np.random.default_rng(20))]
+    assert all(f.spectrograms.dtype == np.float32 for f in features)
+    assert all(f.loc_matrix.dtype == f.loc_scalars.dtype == f.loc_avail.dtype == np.float64 for f in features)
+    bags = build_bags(features)
+    for rng in (None, np.random.default_rng(0)):
+        batch = bags.batch(np.arange(8), augment_rng=rng)
+        assert batch["acc"].dtype == np.float32
+        assert batch["loc_seq"].dtype == batch["loc_scalars"].dtype == np.float64
+
+
+def test_float64_feature_cache_loads_to_the_float32_bytes(tmp_path):
+    # A cache written before spectrograms were float32 holds each float64 image;
+    # it must load to the bytes of a cache of the same sessions written now.
+    sessions = synth_generate(small_config(minutes_per_session=20), np.random.default_rng(21))
+    new, old = tmp_path / "features.npz", tmp_path / "features64.npz"
+    save_features(new, [preprocess_session(s) for s in sessions])
+    arrays, meta = load_arrays(new)
+    bands = band_table()
+    for i, session in enumerate(sessions):
+        specs64 = np.stack(
+            [
+                [
+                    spectrogram(magnitude_jerk(stream[m * WINDOW_SAMPLES : (m + 1) * WINDOW_SAMPLES]), bands)
+                    for m in range(session.n_minutes)
+                ]
+                for stream in (session.accel[p] for p in sorted(session.accel))
+            ]
+        )
+        arrays[f"s{i}/spectrograms"] = specs64
+    save_arrays(old, arrays, meta=meta)
+    assert new.stat().st_size < 0.6 * old.stat().st_size
+    for a, b in zip(load_features(old), load_features(new), strict=True):
+        assert (a.user, a.session_id, a.placements) == (b.user, b.session_id, b.placements)
+        for name in ("spectrograms", "loc_matrix", "loc_scalars", "loc_avail", "labels"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        assert a.spectrograms.dtype == np.float32
+
+
+@pytest.mark.parametrize("field", ["user", "session_id", "placements"])
+def test_session_entry_without_a_field_names_the_file_and_the_field(tmp_path, field):
+    sessions = synth_generate(small_config(minutes_per_session=20), np.random.default_rng(22))
+    features = [preprocess_session(s) for s in sessions]
+    for save, load, items in ((save_sessions, load_sessions, sessions), (save_features, load_features, features)):
+        path = tmp_path / f"{load.__name__}.npz"
+        save(path, items)
+        arrays, meta = load_arrays(path)
+        del meta["sessions"][1][field]
+        save_arrays(path, arrays, meta=meta)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: missing sessions\[1\] field '{field}'$"):
+            load(path)

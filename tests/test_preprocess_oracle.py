@@ -5,7 +5,8 @@ magnitude/jerk channels and spectrogram on their own, and each location
 window computing its own steps. ``preprocess_session`` computes the same
 features in blocks of minutes on worker threads; every array it returns must
 have the reference's bytes, whatever the block boundaries, the placement
-count, or the number of workers.
+count, or the number of workers. Spectrograms are stored in float32, so the
+reference rounds each float64 image once; every other field stays float64.
 """
 
 import sys
@@ -112,7 +113,11 @@ def ref_preprocess(session):
             loc_scalars[m] = window.scalars
             loc_avail[m] = window.availability
     return dict(
-        spectrograms=specs, loc_matrix=loc_matrix, loc_scalars=loc_scalars, loc_avail=loc_avail, labels=session.labels
+        spectrograms=specs.astype(np.float32),  # each float64 value rounded once
+        loc_matrix=loc_matrix,
+        loc_scalars=loc_scalars,
+        loc_avail=loc_avail,
+        labels=session.labels,
     )
 
 
