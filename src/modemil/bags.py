@@ -52,7 +52,7 @@ class Session:
     labels: np.ndarray  # (n_minutes,) mode index, UNLABELED where unknown
     location: LocStream | None = None
     start_time: float = 0.0
-    accel_rate: float = 10.0  # preprocessing takes 10 Hz only
+    accel_rate: float = SAMPLE_RATE_HZ  # preprocessing takes this rate only
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import MODES, __version__
+from . import MODES, __version__, load_config
 from .accel import SPEC_SHAPE
 from .bags import build_bags, load_features, load_sessions, preprocess_session, save_features, save_sessions
 from .experiments import attention_report, dev_label_sequences, evaluate_split, roc_tables
@@ -67,7 +67,7 @@ def _load_config(cls, path: str | None):
     if path is None:
         return cls()
     try:
-        return cls.from_json(Path(path).read_text())
+        return load_config(cls, json.loads(Path(path).read_text()))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -89,7 +89,7 @@ def _cmd_synth(args, argv) -> int:
     config = _load_config(SynthConfig, args.config)
     sessions = synth_generate(config, np.random.default_rng(args.seed))
     save_sessions(args.out, sessions)
-    _write_manifest(Path(args.out).parent, "synth", argv, json.loads(config.to_json()), args.seed)
+    _write_manifest(Path(args.out).parent, "synth", argv, asdict(config), args.seed)
     print(f"wrote {len(sessions)} sessions to {args.out}")
     return 0
 
@@ -139,7 +139,7 @@ def _load_model(path) -> tuple[TransportModeClassifier, dict]:
     arrays, meta = load_arrays(path, "model")
     values = meta["config"]
     try:
-        config = TrainConfig.from_dict(values)
+        config = load_config(TrainConfig, values)
         model = build_model(config)
         model.load_state_dict(arrays)
     except ValueError as exc:

@@ -22,13 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from . import PLACEMENTS
+from .accel import SAMPLE_RATE_HZ, WINDOW_SAMPLES
 from .bags import UNLABELED, Session
 from .geo import WINDOW_MINUTES, LocStream
 
 __all__ = ["ColumnMap", "ingest", "ingest_report"]
-
-TARGET_RATE = 10.0
-SAMPLES_PER_MINUTE = 600
 
 
 @dataclass(frozen=True)
@@ -100,9 +98,9 @@ def ingest(
     needs.
     """
     root = Path(root)
-    factor = accel_rate_in / TARGET_RATE
+    factor = accel_rate_in / SAMPLE_RATE_HZ
     if not (factor >= 1 and float(factor).is_integer()):
-        raise ValueError(f"accel_rate_in={accel_rate_in} Hz is not a whole multiple of {TARGET_RATE:g} Hz")
+        raise ValueError(f"accel_rate_in={accel_rate_in} Hz is not a whole multiple of {SAMPLE_RATE_HZ:g} Hz")
     factor = int(factor)
     sessions: list[Session] = []
     for user_dir in sorted(p for p in root.iterdir() if p.is_dir()) if root.is_dir() else []:
@@ -125,15 +123,15 @@ def ingest(
                     continue
                 rows = _load_columns(motion_path, (column_map.time,) + column_map.acc)
                 stream = _block_mean_decimate(rows[:, 1:4], factor)
-                n_keep = min(len(stream) // SAMPLES_PER_MINUTE, n_minutes)
+                n_keep = min(len(stream) // WINDOW_SAMPLES, n_minutes)
                 if n_keep == 0:
                     continue
-                accel[placement] = stream[: n_keep * SAMPLES_PER_MINUTE]
+                accel[placement] = stream[: n_keep * WINDOW_SAMPLES]
             if not accel:
                 continue
-            n_minutes = min(n_minutes, min(len(a) // SAMPLES_PER_MINUTE for a in accel.values()))
+            n_minutes = min(n_minutes, min(len(a) // WINDOW_SAMPLES for a in accel.values()))
             labels = labels[:n_minutes]
-            accel = {p: a[: n_minutes * SAMPLES_PER_MINUTE] for p, a in accel.items()}
+            accel = {p: a[: n_minutes * WINDOW_SAMPLES] for p, a in accel.items()}
 
             location = None
             loc_path = rec_dir / "Location.txt"
@@ -174,7 +172,7 @@ def ingest_report(sessions: list[Session]) -> dict:
         labels += int(np.sum(s.labels != UNLABELED))
         for p in PLACEMENTS:
             if p in s.accel:
-                frames[p] += len(s.accel[p]) // SAMPLES_PER_MINUTE
+                frames[p] += len(s.accel[p]) // WINDOW_SAMPLES
             else:
                 missing.append(f"{s.session_id}:{p}")
         location_windows += max(0, s.n_minutes - (WINDOW_MINUTES - 1))

@@ -12,20 +12,18 @@ multi-minute signal gaps.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import MODES, PLACEMENTS, check_field_types, checked_keys
+from . import MODES, PLACEMENTS, check_field_types
+from .accel import SAMPLE_RATE_HZ, WINDOW_SAMPLES
 from .bags import Session
 from .geo import EARTH_RADIUS_M, LocStream
 
 __all__ = ["ModeTemplate", "SynthConfig", "synth_generate", "DEFAULT_TEMPLATES"]
 
 GRAVITY = 9.81
-SAMPLES_PER_MINUTE = 600
-SAMPLE_RATE = 10.0
 
 
 @dataclass(frozen=True)
@@ -73,27 +71,14 @@ class SynthConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if not set(self.modes) <= set(MODES):
-            raise ValueError(f"unknown modes {sorted(set(self.modes) - set(MODES))}; choose from {MODES}")
+        if not self.modes:
+            raise ValueError("modes must not be empty")
+        for name, keys in (("modes", self.modes), ("templates", self.templates)):
+            if not set(keys) <= set(MODES):
+                raise ValueError(f"unknown {name} {sorted(set(keys) - set(MODES))}; choose from {MODES}")
 
     def template(self, mode: str) -> ModeTemplate:
         return self.templates.get(mode, DEFAULT_TEMPLATES[mode])
-
-    def to_json(self) -> str:
-        payload = asdict(self)
-        payload["templates"] = {k: asdict(v) for k, v in self.templates.items()}
-        return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SynthConfig":
-        payload = checked_keys(cls, json.loads(text))
-        templates = {
-            k: ModeTemplate(**checked_keys(ModeTemplate, {**v, "speed_range": tuple(v["speed_range"])}))
-            for k, v in payload.pop("templates", {}).items()
-        }
-        payload["modes"] = tuple(payload.get("modes", MODES))
-        payload["placements"] = tuple(payload.get("placements", PLACEMENTS))
-        return cls(templates=templates, **payload)
 
 
 def _mode_segments(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
@@ -119,8 +104,8 @@ def _accel_stream(
 ) -> np.ndarray:
     """One placement's 10 Hz 3-axis stream following the per-minute labels."""
     minutes = len(labels)
-    t = np.arange(minutes * SAMPLES_PER_MINUTE) / SAMPLE_RATE
-    out = np.zeros((minutes * SAMPLES_PER_MINUTE, 3))
+    t = np.arange(minutes * WINDOW_SAMPLES) / SAMPLE_RATE_HZ
+    out = np.zeros((minutes * WINDOW_SAMPLES, 3))
     out[:, 2] = GRAVITY
     # Oscillation mostly along gravity (bodies bounce vertically), with a
     # placement-specific lateral component and phase.
@@ -129,16 +114,14 @@ def _accel_stream(
     phase = rng.uniform(0.0, 2.0 * np.pi)
     for m in range(minutes):
         template = config.template(config.modes[labels[m]])
-        sl = slice(m * SAMPLES_PER_MINUTE, (m + 1) * SAMPLES_PER_MINUTE)
+        sl = slice(m * WINDOW_SAMPLES, (m + 1) * WINDOW_SAMPLES)
         if rng.random() < config.corruption_rate:
-            out[sl] = GRAVITY * np.array([0.0, 0.0, 1.0]) + config.corruption_amp * rng.normal(
-                size=(SAMPLES_PER_MINUTE, 3)
-            )
+            out[sl] = GRAVITY * np.array([0.0, 0.0, 1.0]) + config.corruption_amp * rng.normal(size=(WINDOW_SAMPLES, 3))
             continue
         if template.accel_amp > 0.0 and template.accel_freq > 0.0:
             wave = template.accel_amp * np.sin(2.0 * np.pi * template.accel_freq * t[sl] + phase)
             out[sl] += wave[:, None] * axis
-        out[sl] += template.accel_noise * rng.normal(size=(SAMPLES_PER_MINUTE, 3))
+        out[sl] += template.accel_noise * rng.normal(size=(WINDOW_SAMPLES, 3))
     return out
 
 

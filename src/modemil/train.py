@@ -4,13 +4,13 @@ model with the pre-trained weights frozen)."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import N_MODES, check_field_types, checked_keys
+from . import N_MODES, check_field_types
 from .bags import BagDataset, SessionFeatures, build_bags, build_windows
+from .geo import WINDOW_MINUTES
 from .model import ARCHITECTURES, TransportModeClassifier
 from .nn import Adam, cce_loss
 from .splits import SplitSpec, split_bags
@@ -50,32 +50,19 @@ class TrainConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.arch not in ARCHITECTURES:
-            raise ValueError(f"arch must be one of {ARCHITECTURES}")
-        if self.pretrain not in PRETRAIN_MODES:
-            raise ValueError(f"pretrain must be one of {PRETRAIN_MODES}")
-        for name, value, least in (
-            ("patience", self.patience, 1),
-            ("n_accel_instances", self.n_accel_instances, 1),
-            ("batch_size", self.batch_size, 2),  # batch norm needs two examples
-            ("max_epochs", self.max_epochs, 0),
+        for broken, message in (
+            (self.arch not in ARCHITECTURES, f"arch must be one of {ARCHITECTURES}"),
+            (self.pretrain not in PRETRAIN_MODES, f"pretrain must be one of {PRETRAIN_MODES}"),
+            (self.patience < 1, "patience must be >= 1"),
+            (self.n_accel_instances < 1, "n_accel_instances must be >= 1"),
+            (self.n_accel_instances > WINDOW_MINUTES, f"n_accel_instances must be <= {WINDOW_MINUTES}"),
+            (self.batch_size < 2, "batch_size must be >= 2"),  # batch norm needs two examples
+            (self.max_epochs < 0, "max_epochs must be >= 0"),
+            (not 0.0 <= self.dropout < 1.0, "dropout must lie in [0, 1)"),
+            (not self.lr > 0, "lr must be > 0"),
         ):
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}")
-        if not self.lr > 0:
-            raise ValueError("lr must be > 0")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-    @classmethod
-    def from_dict(cls, values: dict) -> "TrainConfig":
-        """The config a JSON object describes; unknown keys are named in the error."""
-        return cls(**checked_keys(cls, values))
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrainConfig":
-        return cls.from_dict(json.loads(text))
+            if broken:
+                raise ValueError(message)
 
 
 @dataclass

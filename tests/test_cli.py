@@ -14,6 +14,9 @@ from modemil.nn import load_arrays, save_arrays
 from modemil.train import TrainConfig, build_model
 
 
+WALK = {"accel_freq": 2.0, "accel_amp": 2.0, "accel_noise": 0.3, "speed_range": [1.2, 1.6]}
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """synth -> preprocess -> train, shared by the downstream command tests."""
@@ -213,6 +216,26 @@ def test_report_rejects_an_archive_of_another_kind(pipeline, capsys):
         ({"n_user": 2}, "unknown SynthConfig keys: n_user"),
         ({"modes": ["still", "plane"]}, f"unknown modes ['plane']; choose from {MODES}"),
         ({"n_users": "2"}, "n_users must be int, got '2'"),
+        ({"placements": "Hips"}, "placements must be tuple[str, ...], got 'Hips'"),
+        ({"placements": ["Hips", 3]}, "placements must be tuple[str, ...], got ('Hips', 3)"),
+        ({"templates": {"plane": WALK}}, f"unknown templates ['plane']; choose from {MODES}"),
+        (
+            {"templates": {"walk": {**WALK, "speed_range": [1, "x"]}}},
+            "templates.walk: speed_range must be tuple[float, float], got (1, 'x')",
+        ),
+        (
+            {"templates": {"walk": {**WALK, "speed_range": [1, 2, 3]}}},
+            "templates.walk: speed_range must be tuple[float, float], got (1, 2, 3)",
+        ),
+        (
+            {"templates": {"walk": {k: v for k, v in WALK.items() if k != "speed_range"}}},
+            "templates.walk: missing ModeTemplate keys: speed_range",
+        ),
+        ({"templates": {"walk": 3}}, "templates.walk: ModeTemplate must be a JSON object, got 3"),
+        ([1], "SynthConfig must be a JSON object, got [1]"),
+        ({"modes": "still"}, "modes must be tuple[str, ...], got 'still'"),
+        ({"modes": []}, "modes must not be empty"),
+        ({"templates": {"walk": {**WALK, "accel_freq": "2"}}}, "templates.walk: accel_freq must be float, got '2'"),
     ],
 )
 def test_synth_config_errors_name_the_file(tmp_path, capsys, config, message):
@@ -221,6 +244,15 @@ def test_synth_config_errors_name_the_file(tmp_path, capsys, config, message):
     args = ["synth", "--config", str(path), "--out", str(tmp_path / "sessions.npz")]
     _one_error_line(capsys, args, f"{path}: {message}")
     assert not (tmp_path / "sessions.npz").exists()
+
+
+def test_train_config_that_is_no_object_names_the_file(pipeline, capsys):
+    path = pipeline / "list_train.json"
+    path.write_text(json.dumps([1]))
+    args = ["train", "--features", str(pipeline / "features.npz"), "--config", str(path)]
+    message = f"{path}: TrainConfig must be a JSON object, got [1]"
+    _one_error_line(capsys, args + ["--out", str(pipeline / "run_list")], message)
+    assert not (pipeline / "run_list").exists()
 
 
 def _evaluate_mismatch(capsys, features, model) -> str:
@@ -285,7 +317,7 @@ def test_checkpoint_round_trip_per_architecture(tmp_path, arch, n_instances):
         "seed": model.seed,
         "test_user": "u0",
         "placement": None,
-        "config": json.loads(config.to_json()),
+        "config": asdict(config),
     }
     save_arrays(tmp_path / "checkpoint.npz", dict(model.named_tensors()), meta=meta)
     loaded, loaded_meta = _load_model(tmp_path / "checkpoint.npz")

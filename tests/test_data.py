@@ -1,11 +1,14 @@
 """Dataset plumbing: synthetic generation, bags, splits, ingestion, round-trips."""
 
+import hashlib
+import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from modemil import MODES
+from modemil import MODES, load_config
 from modemil.accel import WINDOW_SAMPLES, band_table, magnitude_jerk, spectrogram
 from modemil.bags import (
     UNLABELED,
@@ -24,7 +27,7 @@ from modemil.geo import WINDOW_MINUTES, haversine
 from modemil.nn import load_arrays, save_arrays
 from modemil.shl import ColumnMap, ingest, ingest_report
 from modemil.splits import label_streams, loso_folds, split_bags
-from modemil.synth import ModeTemplate, SynthConfig, synth_generate
+from modemil.synth import DEFAULT_TEMPLATES, ModeTemplate, SynthConfig, synth_generate
 from modemil.train import TrainConfig
 
 
@@ -98,36 +101,74 @@ class TestSynth:
         assert len(session.location.times) < 0.7 * 120
 
     def test_config_json_round_trip(self):
-        cfg = small_config(corruption_rate=0.2)
-        clone = SynthConfig.from_json(cfg.to_json())
+        cfg = small_config(corruption_rate=0.2, templates={"run": ModeTemplate(3.0, 5.0, 0.5, (2.5, 3.0))})
+        clone = load_config(SynthConfig, json.loads(json.dumps(asdict(cfg))))
         assert clone == cfg
 
     def test_config_json_names_unknown_keys_and_modes(self):
         with pytest.raises(ValueError, match=r"^unknown SynthConfig keys: n_user, seed$"):
-            SynthConfig.from_json('{"n_user": 2, "seed": 1, "n_users": 2}')
-        with pytest.raises(ValueError, match=r"^unknown ModeTemplate keys: freq$"):
-            SynthConfig.from_json('{"templates": {"run": {"freq": 3.0, "speed_range": [2.0, 3.0]}}}')
+            load_config(SynthConfig, {"n_user": 2, "seed": 1, "n_users": 2})
+        with pytest.raises(ValueError, match=r"^templates\.run: unknown ModeTemplate keys: freq$"):
+            load_config(SynthConfig, {"templates": {"run": {"freq": 3.0, "speed_range": [2.0, 3.0]}}})
         with pytest.raises(ValueError, match=r"^unknown modes \['plane'\]; choose from \('still', "):
-            SynthConfig.from_json('{"modes": ["still", "plane"]}')
+            load_config(SynthConfig, {"modes": ["still", "plane"]})
         with pytest.raises(ValueError, match=r"^unknown modes \['Walk', 'plane'\]"):
             small_config(modes=("plane", "Walk", "run"))
 
     def test_config_values_are_checked_against_their_field_types(self):
         for make, message in (
-            (lambda: SynthConfig.from_json('{"n_users": "2"}'), "n_users must be int, got '2'"),
+            (lambda: load_config(SynthConfig, {"n_users": "2"}), "n_users must be int, got '2'"),
             (lambda: small_config(minutes_per_session=60.0), "minutes_per_session must be int, got 60.0"),
             (lambda: small_config(corruption_rate=True), "corruption_rate must be float, got True"),
             (lambda: ModeTemplate(1.0, "2", 0.1, (1.0, 2.0)), "accel_amp must be float, got '2'"),
             (lambda: TrainConfig(lr=True), "lr must be float, got True"),
-            (lambda: TrainConfig.from_json('{"batch_size": "32"}'), "batch_size must be int, got '32'"),
+            (lambda: load_config(TrainConfig, {"batch_size": "32"}), "batch_size must be int, got '32'"),
             (lambda: TrainConfig(stop_accuracy="0.9"), "stop_accuracy must be float | None, got '0.9'"),
+            (lambda: small_config(placements=["Hips"]), "placements must be tuple[str, ...], got ['Hips']"),
+            (lambda: ModeTemplate(1, 2, 0, (1.0, True)), "speed_range must be tuple[float, float], got (1.0, True)"),
         ):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 make()
+        for templates in ({1: DEFAULT_TEMPLATES["run"]}, {"run": {"accel_freq": 3.0}}):
+            with pytest.raises(ValueError, match=r"^templates must be dict\[str, ModeTemplate\], got \{"):
+                small_config(templates=templates)
         # an int passes as a float, and None where the annotation allows it
         assert small_config(dwell_mean_minutes=8).dwell_mean_minutes == 8
         assert ModeTemplate(2, 2, 0, (1, 2)).accel_freq == 2
         assert TrainConfig(lr=1, stop_accuracy=None).lr == 1
+
+    @pytest.mark.parametrize(
+        "config, seed, expected",
+        [
+            # sha256 of every session field, recorded while synth kept its own copies of the
+            # sample rate and the minute length: the default config and the criterion-6 corpus
+            (SynthConfig(), 0, "d0ca0707baec33f20bedda2c894b8fc3ca61ba9bb67b15a544fef1cc369615c4"),
+            (
+                SynthConfig(
+                    modes=("still", "walk", "run", "car"),
+                    placements=("Hips",),
+                    n_users=3,
+                    minutes_per_session=700,
+                    dwell_mean_minutes=30.0,
+                    corruption_rate=0.2,
+                ),
+                42,
+                "59dbdacc9aee38bb29a4b17b1f231f290301ece01eeb68b6831f01743c589007",
+            ),
+        ],
+    )
+    def test_generated_sessions_stay_byte_equal(self, config, seed, expected):
+        digest = hashlib.sha256()
+        for s in synth_generate(config, np.random.default_rng(seed)):
+            digest.update(f"{s.user}/{s.session_id}/{s.start_time!r}/{s.accel_rate!r}".encode())
+            arrays = [s.labels, s.location.times, s.location.lats, s.location.lons]
+            for p in sorted(s.accel):
+                digest.update(p.encode())
+                arrays.append(s.accel[p])
+            for a in arrays:
+                digest.update(f"{a.dtype}{a.shape}".encode())
+                digest.update(np.ascontiguousarray(a).tobytes())
+        assert digest.hexdigest() == expected
 
 
 class TestBags:

@@ -1,8 +1,14 @@
 """Training loop, early stopping, pre-training protocol, metrics."""
 
+import json
+import re
+from dataclasses import asdict
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from modemil import load_config
 from modemil.bags import build_bags, build_windows, preprocess_session
 from modemil.metrics import auc, classification_metrics, confusion_matrix, roc_curve
 from modemil.model import TransportModeClassifier
@@ -119,6 +125,9 @@ class TestTrainLoop:
         for bad in (
             {"arch": "nope"},
             {"n_accel_instances": 0},
+            {"n_accel_instances": 13},
+            {"dropout": 1.0},
+            {"dropout": -0.1},
             {"lr": -1.0},
             {"lr": 0.0},
             {"lr": float("nan")},
@@ -135,11 +144,19 @@ class TestTrainLoop:
             with pytest.raises(ValueError, match=next(iter(bad))):
                 TrainConfig(**bad)
         with pytest.raises(ValueError, match="unknown TrainConfig keys: max_epoch, seeed"):
-            TrainConfig.from_json('{"seeed": 1, "max_epoch": 3, "lr": 0.001}')
+            load_config(TrainConfig, {"seeed": 1, "max_epoch": 3, "lr": 0.001})
+        # the ends of the dropout and window-count ranges are valid
+        assert TrainConfig(dropout=0.0, n_accel_instances=12).n_accel_instances == 12
 
     def test_config_json_round_trip(self):
         config = TrainConfig(arch="acc_mil", lr=2e-4, stop_accuracy=0.9)
-        assert TrainConfig.from_json(config.to_json()) == config
+        assert load_config(TrainConfig, json.loads(json.dumps(asdict(config)))) == config
+
+    def test_readme_train_json_example_loads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        config = load_config(TrainConfig, json.loads(example))
+        assert (config.arch, config.pretrain) == ("fusion_mil", "accel")
 
     def test_instance_count_sweep_trains(self, toy):
         # the duration-ablation knob: two windows per bag instead of three
