@@ -258,12 +258,19 @@ def _format_attention(tables: dict) -> str:
 
 
 def _cmd_gradcheck(args, argv) -> int:
-    from .verification import full_model_check, layer_checks
+    from .verification import LAYER_LIMIT, MODEL_LIMIT, full_model_check, layer_checks
+
+    def limit(value: float) -> str:  # 1e-06 -> 1e-6
+        mantissa, exponent = f"{value:.0e}".split("e")
+        return f"{mantissa}e{int(exponent)}"
 
     worst_layer = layer_checks(verbose=True)
     worst_model = full_model_check(verbose=True)
-    ok = worst_layer < 1e-6 and worst_model < 1e-4
-    print(f"layers max rel err {worst_layer:.3e} (limit 1e-6); model {worst_model:.3e} (limit 1e-4)")
+    ok = worst_layer < LAYER_LIMIT and worst_model < MODEL_LIMIT
+    print(
+        f"layers max rel err {worst_layer:.3e} (limit {limit(LAYER_LIMIT)}); "
+        f"model {worst_model:.3e} (limit {limit(MODEL_LIMIT)})"
+    )
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 

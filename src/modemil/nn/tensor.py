@@ -6,6 +6,10 @@ add, multiply, matmul, reshape, concat, sum, relu, tanh, sigmoid, softmax and
 ``cce_loss``, which is one node (clamp, pick, log, mean and negate).
 Convolution, max-pool, batch norm and the Bi-LSTM are single nodes built in
 ``layers``.
+``Tensor.backward`` consumes the graph it runs: each node drops its closure
+(and the arrays it saved) and its parents as soon as its own backward has run,
+so a step's graph is gone by the time the next forward starts. A second
+``backward()`` through a released graph raises ``ValueError``.
 All data and gradients live in row-major numpy arrays in double precision.
 Only ``layers.conv_block`` computes in float32 inside, on float64 inputs and
 outputs; under ``double_precision()`` it computes in float64 too, which keeps
@@ -64,6 +68,14 @@ def double_precision():
 def conv_dtype() -> type:
     """The dtype ``conv_block`` computes in: float32, or float64 under ``double_precision()``."""
     return _conv_dtype
+
+
+_RELEASED = "backward() through a graph that an earlier backward() released; run the forward again"
+
+
+def _released(grad: np.ndarray) -> None:
+    """The closure of a node whose backward has run: its saved arrays are gone."""
+    raise ValueError(_RELEASED)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -129,7 +141,14 @@ class Tensor:
             self.grad = self.grad + grad
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this node; defaults to d(self)/d(self) = 1 on scalars."""
+        """Backpropagate from this node; defaults to d(self)/d(self) = 1 on scalars.
+
+        The graph is consumed: each node drops its closure and its parents as its
+        backward runs, so the arrays the closure saved are freed at once, and after
+        the call this node and every node of its graph hold only ``data`` and
+        ``.grad``. A later ``backward()`` that reaches a released node raises
+        ``ValueError`` before it touches any gradient.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without an explicit gradient needs a scalar")
@@ -144,6 +163,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _released:
+                raise ValueError(_RELEASED)
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -151,8 +172,12 @@ class Tensor:
                     stack.append((parent, False))
         self._accumulate(np.asarray(grad, dtype=np.float64))
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            backward = node._backward
+            if backward is None:
+                continue
+            node._backward, node._parents = _released, ()  # frees what the closure saved once it has run
+            if node.grad is not None:
+                backward(node.grad)
 
     # -- operators -----------------------------------------------------------
 

@@ -76,6 +76,9 @@ class SynthConfig:
         for name, keys in (("modes", self.modes), ("templates", self.templates)):
             if not set(keys) <= set(MODES):
                 raise ValueError(f"unknown {name} {sorted(set(keys) - set(MODES))}; choose from {MODES}")
+        unused = sorted(set(self.templates) - set(self.modes))
+        if unused:
+            raise ValueError(f"unused templates {unused}: their modes are not in modes {self.modes}")
 
     def template(self, mode: str) -> ModeTemplate:
         return self.templates.get(mode, DEFAULT_TEMPLATES[mode])

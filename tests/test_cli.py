@@ -220,6 +220,10 @@ def test_report_rejects_an_archive_of_another_kind(pipeline, capsys):
         ({"placements": ["Hips", 3]}, "placements must be tuple[str, ...], got ('Hips', 3)"),
         ({"templates": {"plane": WALK}}, f"unknown templates ['plane']; choose from {MODES}"),
         (
+            {"modes": ["still"], "templates": {"walk": WALK}},
+            "unused templates ['walk']: their modes are not in modes ('still',)",
+        ),
+        (
             {"templates": {"walk": {**WALK, "speed_range": [1, "x"]}}},
             "templates.walk: speed_range must be tuple[float, float], got (1, 'x')",
         ),
@@ -244,6 +248,18 @@ def test_synth_config_errors_name_the_file(tmp_path, capsys, config, message):
     args = ["synth", "--config", str(path), "--out", str(tmp_path / "sessions.npz")]
     _one_error_line(capsys, args, f"{path}: {message}")
     assert not (tmp_path / "sessions.npz").exists()
+
+
+def test_gradcheck_compares_against_the_verification_limits(monkeypatch, capsys):
+    import modemil.verification as verification
+
+    monkeypatch.setattr(verification, "layer_checks", lambda verbose: 3.919e-08)
+    monkeypatch.setattr(verification, "full_model_check", lambda verbose: 1.233e-08)
+    assert main(["gradcheck"]) == 0
+    assert capsys.readouterr().out == "layers max rel err 3.919e-08 (limit 1e-6); model 1.233e-08 (limit 1e-4)\nPASS\n"
+    monkeypatch.setattr(verification, "MODEL_LIMIT", 1e-8)
+    assert main(["gradcheck"]) == 1
+    assert capsys.readouterr().out == "layers max rel err 3.919e-08 (limit 1e-6); model 1.233e-08 (limit 1e-8)\nFAIL\n"
 
 
 def test_train_config_that_is_no_object_names_the_file(pipeline, capsys):

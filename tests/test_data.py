@@ -114,6 +114,9 @@ class TestSynth:
             load_config(SynthConfig, {"modes": ["still", "plane"]})
         with pytest.raises(ValueError, match=r"^unknown modes \['Walk', 'plane'\]"):
             small_config(modes=("plane", "Walk", "run"))
+        templates = {mode: asdict(DEFAULT_TEMPLATES[mode]) for mode in ("walk", "bike", "still")}
+        with pytest.raises(ValueError, match=r"^unused templates \['bike', 'walk'\]: their modes are not in modes \('still',\)$"):
+            load_config(SynthConfig, {"modes": ["still"], "templates": templates})
 
     def test_config_values_are_checked_against_their_field_types(self):
         for make, message in (

@@ -4,6 +4,7 @@ import ctypes
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import modemil
 from modemil.nn import Tensor, cce_loss, grad_check, no_grad
-from modemil.nn.tensor import LOSS_EPS, concat, relu, sigmoid, softmax, tanh
+from modemil.nn.tensor import LOSS_EPS, _released, concat, make_node, relu, sigmoid, softmax, tanh
 
 
 def test_add_mul_broadcast_gradients():
@@ -138,6 +139,59 @@ def test_shared_gradient_arrays_are_not_written_after_use(a_first):
     assert np.array_equal(b.grad, w)
     assert np.shares_memory(b.grad, y.grad)  # the copy-free hand-off
     np.testing.assert_allclose(a.grad, w + 2.0 * a.data, rtol=1e-15)
+
+
+def _small_graph():
+    rng = np.random.default_rng(10)
+    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    h = tanh(a @ w)
+    return a, w, h, (sigmoid(h) * h + relu(h)).sum()
+
+
+def test_backward_releases_the_graph():
+    a, w, h, loss = _small_graph()
+    nodes = _graph_nodes(loss)
+    loss.backward()
+    assert _graph_nodes(loss) == [loss]
+    for node in nodes:
+        assert node._parents == ()
+        assert node._backward is (None if node in (a, w) else _released)
+    assert h.grad is not None and a.grad is not None and w.grad is not None
+
+
+def test_saved_arrays_are_freed_as_backward_runs():
+    # y's backward must find z's saved array gone: z's backward ran first
+    x = Tensor(np.ones(4), requires_grad=True)
+    later = []
+
+    def node(parent, on_backward):
+        saved = np.full(4, 2.0)
+        later.append(weakref.ref(saved))
+        return make_node(parent.data * saved, (parent,), lambda grad: on_backward(grad * saved, parent))
+
+    def y_backward(grad, parent):
+        assert later[1]() is None
+        parent._accumulate(grad)
+
+    z = node(node(x, y_backward), lambda grad, parent: parent._accumulate(grad))
+    z.sum().backward()
+    assert later[0]() is None
+    assert np.array_equal(x.grad, np.full(4, 4.0))
+
+
+def test_second_backward_raises_and_leaves_gradients_alone():
+    a, w, h, loss = _small_graph()
+    loss.backward()
+    grads = [t.grad.copy() for t in (a, w, h, loss)]
+    with pytest.raises(ValueError, match="released"):
+        loss.backward()
+    with pytest.raises(ValueError, match="released"):
+        (h * 2.0).sum().backward()  # a new graph on a released node
+    with pytest.raises(ValueError, match="released"):
+        h._backward(np.ones(h.shape))
+    for t, grad in zip((a, w, h, loss), grads):
+        assert np.array_equal(t.grad, grad)
 
 
 def test_first_gradient_is_broadcast_to_shape():

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from modemil import load_config
 from modemil.bags import build_bags, build_windows, preprocess_session
 from modemil.metrics import auc, classification_metrics, confusion_matrix, roc_curve
 from modemil.model import TransportModeClassifier
-from modemil.nn import NonFiniteGradient, Tensor, cce_loss, no_grad
+from modemil.nn import Adam, NonFiniteGradient, Tensor, cce_loss, no_grad
 from modemil.splits import loso_folds, split_bags
 from modemil.synth import SynthConfig, synth_generate
 from modemil.train import (
@@ -66,6 +67,29 @@ class TestTrainLoop:
         _, h2 = run_training(config, bags, train_idx, val_idx)
         assert h1.train_loss == h2.train_loss
         assert h1.val_loss == h2.val_loss
+
+    def test_a_step_does_not_hold_the_last_steps_graph(self, toy):
+        # train_model's loop keeps result and loss bound into the next step; backward
+        # released their graph, so two steps peak about as high as one
+        _, bags, _, train_idx, _, _ = toy
+        model = TransportModeClassifier("fusion_mil", seed=4)
+        optimizer = Adam(dict(model.named_parameters()), lr=1e-3)
+        rng = np.random.default_rng(4)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            peaks = []
+            for chunk in (train_idx[:8], train_idx[8:16]):
+                batch = bags.batch(chunk)
+                result = model.forward(**_model_inputs(model, batch), training=True, rng=rng)
+                loss = cce_loss(result.probs, batch["labels"])
+                optimizer.zero_grad()
+                loss.backward()
+                optimizer.step()
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] < 1.3 * peaks[0], peaks
 
     def test_separable_toy_reaches_high_accuracy_quickly(self, toy):
         _, bags, _, train_idx, val_idx, _ = toy
