@@ -17,7 +17,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "SAMPLE_RATE_HZ",
-    "WINDOW_SECONDS",
     "WINDOW_SAMPLES",
     "SEGMENT_SAMPLES",
     "SEGMENT_HOP",
@@ -35,7 +34,6 @@ __all__ = [
 ]
 
 SAMPLE_RATE_HZ = 10.0
-WINDOW_SECONDS = 60
 WINDOW_SAMPLES = 600
 SEGMENT_SAMPLES = 100  # 10 s at 10 Hz
 SEGMENT_HOP = 10  # 9 s overlap

@@ -109,6 +109,8 @@ def _cmd_train(args, argv) -> int:
     config = _load_config(TrainConfig, args.config)
     if args.seed is not None:
         config.seed = args.seed
+    if args.placement is not None and config.pretrain != "none":
+        raise ValueError(f"--placement {args.placement}: pretrain {config.pretrain!r} trains on every placement")
     out_dir = Path(args.out)
     fold = _fold(features, config.seed, args.test_user)
     dataset = build_bags(features, placement=args.placement, n_instances=config.n_accel_instances)

@@ -1,11 +1,14 @@
 """Location preprocessing: gap handling and location-invariant features.
 
-Fixes arrive nominally once per minute. Short losses (fewer than three
-missing minute slots) are linearly interpolated; longer losses leave the
-affected slots flagged unavailable and their derived features at the masking
-value 0. A 12-minute window yields a 10x2 matrix of (speed, speed
-derivative) rows plus five scalars: mean/std of speed, mean/std of the speed
-derivative, and movability (net displacement over distance travelled).
+Fixes arrive nominally once per minute. One rule puts them on the minute
+grid (``nearest_fixes``): a slot takes the fix nearest its tick within half
+a minute, the earliest on a tie, and no fix serves two minutes. Short losses
+(fewer than three missing minute slots) are linearly interpolated; longer
+losses leave the affected slots flagged unavailable and their derived
+features at the masking value 0. A 12-minute window yields a 10x2 matrix of
+(speed, speed derivative) rows plus five scalars: mean/std of speed,
+mean/std of the speed derivative, and movability (net displacement over
+distance travelled).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ __all__ = [
     "MinuteGrid",
     "LocWindow",
     "haversine",
+    "nearest_fixes",
     "fill_gaps",
     "loc_features",
     "movability",
@@ -34,7 +38,7 @@ WINDOW_MINUTES = 12
 N_FEATURE_ROWS = 10
 LOC_SEQ_SHAPE = (N_FEATURE_ROWS, 2)  # (speed, speed derivative) rows of a window
 N_SCALARS = 5
-SLOT_SECONDS = 60.0
+SLOT_SECONDS = 60.0  # the minute: one label, one acceleration window and one location slot
 MAX_INTERP_SLOTS = 2  # gaps of >= 3 missing minutes are masked, not interpolated
 
 
@@ -89,32 +93,40 @@ class MinuteGrid:
         self.speed = self.step / self.dt
 
 
+def nearest_fixes(times: np.ndarray, start: float, n_slots: int) -> np.ndarray:
+    """Per slot of the ``SLOT_SECONDS`` grid from ``start``, the index of its fix, or -1.
+
+    A fix belongs only to the slot ``rint((t - start) / SLOT_SECONDS)``, and
+    only within half a slot of its tick, so no fix serves two slots. Of one
+    slot's fixes the nearest wins, the earliest on a tie. ``times`` need not
+    be sorted: slot order is time order, so the picked fixes strictly increase.
+    """
+    slot = np.rint((times - start) / SLOT_SECONDS)
+    delta = np.abs(times - (start + slot * SLOT_SECONDS))
+    fixes = np.nonzero((delta <= SLOT_SECONDS / 2.0) & (slot >= 0) & (slot < n_slots))[0]
+    fixes = fixes[np.lexsort((times[fixes], delta[fixes], slot[fixes]))]  # stable: index breaks the last ties
+    slots = slot[fixes].astype(np.int64)
+    first = np.diff(slots, prepend=-1) != 0
+    picks = np.full(n_slots, -1, dtype=np.int64)
+    picks[slots[first]] = fixes[first]
+    return picks
+
+
 def fill_gaps(stream: LocStream, grid_start: float, n_slots: int) -> MinuteGrid:
     """Snap fixes to the grid of ``SLOT_SECONDS`` slots, interpolating only across
     short losses.
 
-    A slot is directly covered when a fix lies within half a slot of its
-    tick. Runs of at most two uncovered slots between covered ones are filled
-    by linear interpolation of latitude/longitude; longer runs and uncovered
-    slots at the stream edges are flagged unavailable and left at 0.
+    A slot is directly covered by the fix ``nearest_fixes`` picks for it. Runs
+    of at most two uncovered slots between covered ones are filled by linear
+    interpolation of latitude/longitude; longer runs and uncovered slots at
+    the stream edges are flagged unavailable and left at 0.
     """
     ticks = grid_start + SLOT_SECONDS * np.arange(n_slots)
-    lats = np.zeros(n_slots)
-    lons = np.zeros(n_slots)
-    covered = np.zeros(n_slots, dtype=bool)
-    if len(stream.times):
-        slot = np.rint((stream.times - grid_start) / SLOT_SECONDS).astype(np.int64)
-        near = np.abs(stream.times - (grid_start + slot * SLOT_SECONDS)) <= SLOT_SECONDS / 2.0
-        best = np.full(n_slots, np.inf)
-        for i in np.nonzero(near & (slot >= 0) & (slot < n_slots))[0]:
-            s = slot[i]
-            delta = abs(stream.times[i] - ticks[s])
-            if delta < best[s]:
-                best[s] = delta
-                lats[s], lons[s] = stream.lats[i], stream.lons[i]
-                covered[s] = True
-    available = covered.copy()
-    idx = np.nonzero(covered)[0]
+    picks = nearest_fixes(stream.times, grid_start, n_slots)
+    available = picks >= 0
+    lats, lons = np.zeros((2, n_slots))
+    lats[available], lons[available] = stream.lats[picks[available]], stream.lons[picks[available]]
+    idx = np.nonzero(available)[0]
     for left, right in zip(idx[:-1], idx[1:]):
         missing = right - left - 1
         if 0 < missing <= MAX_INTERP_SLOTS:

@@ -60,45 +60,38 @@ class Module:
 
     # -- traversal -------------------------------------------------------------
 
-    def _children(self):
-        for name in sorted(vars(self)):
-            value = vars(self)[name]
+    def _walk(self, prefix: str = "") -> list:
+        """This module and every descendant in preorder, children by attribute name: each as
+        (name prefix, module, its ``Tensor`` attributes sorted by name)."""
+        attributes = sorted(vars(self).items())
+        walk = [(prefix, self, [(name, value) for name, value in attributes if isinstance(value, Tensor)])]
+        for name, value in attributes:
             if isinstance(value, Module):
-                yield name, value
+                walk += value._walk(f"{prefix}{name}.")
+        return walk
 
-    def named_parameters(self, prefix: str = ""):
-        for name in sorted(vars(self)):
-            value = vars(self)[name]
-            if isinstance(value, Tensor) and value.requires_grad:
-                yield prefix + name, value
-        for name, child in self._children():
-            yield from child.named_parameters(prefix=f"{prefix}{name}.")
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
+        return [(prefix + name, t) for prefix, _, tensors in self._walk() for name, t in tensors if t.requires_grad]
 
     def parameters(self) -> list[Tensor]:
-        return [p for _, p in self.named_parameters()]
+        return [t for _, _, tensors in self._walk() for _, t in tensors if t.requires_grad]
 
-    def named_tensors(self, prefix: str = ""):
+    def named_tensors(self) -> list[tuple[str, np.ndarray]]:
         """All stored arrays: parameters (frozen or not) plus buffers."""
-        for name in sorted(vars(self)):
-            value = vars(self)[name]
-            if isinstance(value, Tensor):
-                yield prefix + name, value.data
-        for name, array in sorted(self._buffers.items()):
-            yield prefix + name, array
-        for name, child in self._children():
-            yield from child.named_tensors(prefix=f"{prefix}{name}.")
+        arrays = []
+        for prefix, module, tensors in self._walk():
+            arrays += [(prefix + name, t.data) for name, t in tensors]
+            arrays += [(prefix + name, array) for name, array in sorted(module._buffers.items())]
+        return arrays
 
     # -- freezing ----------------------------------------------------------------
 
     def freeze(self):
         """Exclude this subtree from training: no gradients, no stat updates."""
-        self._frozen = True
-        for name in sorted(vars(self)):
-            value = vars(self)[name]
-            if isinstance(value, Tensor):
-                value.requires_grad = False
-        for _, child in self._children():
-            child.freeze()
+        for _, module, tensors in self._walk():
+            module._frozen = True
+            for _, t in tensors:
+                t.requires_grad = False
         return self
 
     @property

@@ -10,7 +10,9 @@ column and the latitude/longitude columns are configurable through
 Sampling is reduced at ingest time: motion is block-averaged from the input
 rate down to 10 Hz (the averaging acts as the anti-alias guard), labels
 become one majority label per minute (ties resolved toward the mode seen
-earlier in the minute), and location keeps the fix nearest each minute tick.
+earlier in the minute), and location keeps, per minute, the fix nearest its
+tick within half a minute, the earliest on a tie, one minute per fix
+(``geo.nearest_fixes``, the rule ``fill_gaps`` applies too).
 Raw coarse labels 1..8 map to mode indices 0..7; label 0 means unlabeled.
 """
 
@@ -24,7 +26,7 @@ import numpy as np
 from . import PLACEMENTS
 from .accel import SAMPLE_RATE_HZ, WINDOW_SAMPLES
 from .bags import UNLABELED, Session
-from .geo import WINDOW_MINUTES, LocStream
+from .geo import SLOT_SECONDS, WINDOW_MINUTES, LocStream, nearest_fixes
 
 __all__ = ["ColumnMap", "ingest", "ingest_report"]
 
@@ -58,22 +60,6 @@ def _minute_labels(raw: np.ndarray, rows_per_minute: int) -> np.ndarray:
         raw_label = int(tied[np.argmin(positions)])
         out[m] = raw_label - 1 if raw_label >= 1 else UNLABELED
     return out
-
-
-def _nearest_per_minute(times: np.ndarray, n_minutes: int, start: float) -> np.ndarray:
-    """Indices of the fix nearest each minute tick, -1 where none is close."""
-    picks = np.full(n_minutes, -1, dtype=np.int64)
-    if not len(times):
-        return picks
-    for m in range(n_minutes):
-        tick = start + 60.0 * m
-        i = int(np.searchsorted(times, tick))
-        best, best_delta = -1, 30.0
-        for j in (i - 1, i):
-            if 0 <= j < len(times) and abs(times[j] - tick) <= best_delta:
-                best, best_delta = j, abs(times[j] - tick)
-        picks[m] = best
-    return picks
 
 
 def _load_columns(path: Path, columns: tuple[int, ...]) -> np.ndarray:
@@ -110,7 +96,7 @@ def ingest(
                 continue
             label_rows = _load_columns(label_path, (column_map.time, column_map.label))
             start = label_rows[0, 0] / 1000.0
-            rows_per_minute = int(round(60.0 * accel_rate_in))
+            rows_per_minute = int(round(SLOT_SECONDS * accel_rate_in))
             labels = _minute_labels(label_rows[:, 1].astype(np.int64), rows_per_minute)
             n_minutes = len(labels)
             if n_minutes == 0:
@@ -138,14 +124,13 @@ def ingest(
             if loc_path.exists():
                 rows = _load_columns(loc_path, (column_map.time, column_map.lat, column_map.lon))
                 times = rows[:, 0] / 1000.0
-                order = np.argsort(times, kind="stable")
-                times, lats, lons = times[order], rows[order, 1], rows[order, 2]
-                keep = np.concatenate(([True], np.diff(times) > 0))
-                times, lats, lons = times[keep], lats[keep], lons[keep]
-                picks = _nearest_per_minute(times, n_minutes, start)
-                chosen = picks[picks >= 0]
+                chosen = nearest_fixes(times, start, n_minutes)
+                chosen = chosen[chosen >= 0]
                 if len(chosen):
-                    location = LocStream(times=times[chosen], lats=lats[chosen], lons=lons[chosen])
+                    try:
+                        location = LocStream(times=times[chosen], lats=rows[chosen, 1], lons=rows[chosen, 2])
+                    except ValueError as exc:
+                        raise ValueError(f"{loc_path}: {exc}") from exc
 
             sessions.append(
                 Session(

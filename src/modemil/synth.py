@@ -19,7 +19,7 @@ import numpy as np
 from . import MODES, PLACEMENTS, check_field_types
 from .accel import SAMPLE_RATE_HZ, WINDOW_SAMPLES
 from .bags import Session
-from .geo import EARTH_RADIUS_M, LocStream
+from .geo import EARTH_RADIUS_M, SLOT_SECONDS, LocStream
 
 __all__ = ["ModeTemplate", "SynthConfig", "synth_generate", "DEFAULT_TEMPLATES"]
 
@@ -71,8 +71,19 @@ class SynthConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if not self.modes:
-            raise ValueError("modes must not be empty")
+        for broken, message in (
+            (not self.modes, "modes must not be empty"),
+            (self.n_users < 1, "n_users must be >= 1"),
+            (self.sessions_per_user < 1, "sessions_per_user must be >= 1"),
+            (self.minutes_per_session < 1, "minutes_per_session must be >= 1"),
+            # mean lengths of geometric draws, whose success probability 1 / mean must lie in (0, 1]
+            (not self.dwell_mean_minutes >= 1.0, "dwell_mean_minutes must be >= 1"),
+            (not self.gap_mean_minutes >= 1.0, "gap_mean_minutes must be >= 1"),
+            (not 0.0 <= self.corruption_rate <= 1.0, "corruption_rate must lie in [0, 1]"),
+            (not 0.0 <= self.loc_availability <= 1.0, "loc_availability must lie in [0, 1]"),
+        ):
+            if broken:
+                raise ValueError(message)
         for name, keys in (("modes", self.modes), ("templates", self.templates)):
             if not set(keys) <= set(MODES):
                 raise ValueError(f"unknown {name} {sorted(set(keys) - set(MODES))}; choose from {MODES}")
@@ -143,8 +154,7 @@ def _trajectory(
     previous_label = -1
     lats, lons = np.empty(minutes), np.empty(minutes)
     available = np.ones(minutes, dtype=bool)
-    m = 0
-    while m < minutes:
+    for m in range(minutes):
         template = config.template(config.modes[labels[m]])
         if labels[m] != previous_label:
             lo, hi = template.speed_range
@@ -155,14 +165,12 @@ def _trajectory(
             gap = int(rng.geometric(1.0 / config.gap_mean_minutes))
             available[m : m + gap] = False
         bearing += template.bearing_wobble * rng.normal()
-        step = speed * 60.0
+        step = speed * SLOT_SECONDS
         lat = lat + (step / EARTH_RADIUS_M) * np.cos(bearing)
         lon = lon + (step / EARTH_RADIUS_M) * np.sin(bearing) / np.cos(lat)
         lats[m], lons[m] = np.degrees(lat), np.degrees(lon)
-        m += 1
-    times = start_time + 60.0 * np.arange(minutes)
-    keep = available
-    return LocStream(times=times[keep], lats=lats[keep], lons=lons[keep])
+    times = start_time + SLOT_SECONDS * np.arange(minutes)
+    return LocStream(times=times[available], lats=lats[available], lons=lons[available])
 
 
 def synth_generate(config: SynthConfig, rng: np.random.Generator) -> list[Session]:

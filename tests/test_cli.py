@@ -240,6 +240,17 @@ def test_report_rejects_an_archive_of_another_kind(pipeline, capsys):
         ({"modes": "still"}, "modes must be tuple[str, ...], got 'still'"),
         ({"modes": []}, "modes must not be empty"),
         ({"templates": {"walk": {**WALK, "accel_freq": "2"}}}, "templates.walk: accel_freq must be float, got '2'"),
+        ({"n_users": 0}, "n_users must be >= 1"),
+        ({"sessions_per_user": -1}, "sessions_per_user must be >= 1"),
+        ({"minutes_per_session": 0}, "minutes_per_session must be >= 1"),
+        ({"dwell_mean_minutes": 0.5}, "dwell_mean_minutes must be >= 1"),
+        ({"dwell_mean_minutes": float("nan")}, "dwell_mean_minutes must be >= 1"),  # NaN fails each range
+        ({"gap_mean_minutes": 0}, "gap_mean_minutes must be >= 1"),
+        ({"gap_mean_minutes": -1}, "gap_mean_minutes must be >= 1"),
+        ({"corruption_rate": 2.0}, "corruption_rate must lie in [0, 1]"),
+        ({"corruption_rate": -0.1}, "corruption_rate must lie in [0, 1]"),
+        ({"corruption_rate": float("nan")}, "corruption_rate must lie in [0, 1]"),
+        ({"loc_availability": 1.5}, "loc_availability must lie in [0, 1]"),
     ],
 )
 def test_synth_config_errors_name_the_file(tmp_path, capsys, config, message):
@@ -305,6 +316,18 @@ def test_missing_placement_is_named(pipeline, capsys):
     err = capsys.readouterr().err
     assert "no placement 'Hand'" in err and "('Hips',)" in err
     assert not (pipeline / "run_hand").exists()
+
+
+@pytest.mark.parametrize("pretrain", ["loc", "accel", "both"])
+def test_placement_with_pretraining_is_rejected(pipeline, capsys, pretrain):
+    # pre-training draws its bags from every placement, so --placement would reach the
+    # checkpoint and evaluation but not the training
+    path = pipeline / f"train_{pretrain}.json"
+    path.write_text(json.dumps({"pretrain": pretrain, "max_epochs": 1}))
+    out = pipeline / f"run_{pretrain}_hips"
+    args = ["train", "--features", str(pipeline / "features.npz"), "--config", str(path), "--placement", "Hips"]
+    _one_error_line(capsys, args + ["--out", str(out)], f"--placement Hips: pretrain {pretrain!r} trains on every placement")
+    assert not out.exists()
 
 
 def test_unknown_test_user_is_a_usage_error(pipeline, capsys):

@@ -23,7 +23,7 @@ from modemil.bags import (
     save_features,
     save_sessions,
 )
-from modemil.geo import WINDOW_MINUTES, haversine
+from modemil.geo import WINDOW_MINUTES, LocStream, fill_gaps, haversine, nearest_fixes
 from modemil.nn import load_arrays, save_arrays
 from modemil.shl import ColumnMap, ingest, ingest_report
 from modemil.splits import label_streams, loso_folds, split_bags
@@ -139,6 +139,18 @@ class TestSynth:
         assert small_config(dwell_mean_minutes=8).dwell_mean_minutes == 8
         assert ModeTemplate(2, 2, 0, (1, 2)).accel_freq == 2
         assert TrainConfig(lr=1, stop_accuracy=None).lr == 1
+
+    def test_config_range_edges_generate(self):
+        edges = small_config(
+            n_users=1,
+            sessions_per_user=1,
+            minutes_per_session=1,
+            dwell_mean_minutes=1,
+            gap_mean_minutes=1,
+            corruption_rate=1.0,
+            loc_availability=0.0,
+        )
+        assert len(synth_generate(edges, np.random.default_rng(0))) == 1
 
     @pytest.mark.parametrize(
         "config, seed, expected",
@@ -519,6 +531,33 @@ class TestIngest:
         session = ingest(tmp_path)[0]
         assert len(session.location.times) == 2
         assert np.all(np.diff(session.location.times) == 60.0)
+
+    def test_sparse_fixes_half_a_minute_off_the_ticks_each_serve_one_minute(self, tmp_path):
+        # one fix every two minutes, each 30 s past an even tick: a fix as near one tick as the
+        # next may serve only the minute rint gives it, or ingest keeps it twice
+        write_shl_tree(tmp_path, users=("User1",), minutes=9, rate=10)
+        times = np.array([-45.0, 30.0, 150.0, 270.0, 390.0, 480.0, 510.0, 570.0])
+        lats, lons = 45.0 + 1e-4 * np.arange(len(times)), 9.0 - 1e-4 * np.arange(len(times))
+        rows = np.column_stack([1000.0 * times, np.zeros(len(times)), np.zeros(len(times)), lats, lons])
+        np.savetxt(tmp_path / "User1" / "220617" / "Location.txt", rows[::-1], fmt="%.6f")  # file order is no time order
+        session = ingest(tmp_path, accel_rate_in=10)[0]
+        kept = session.location
+        assert len(np.unique(kept.times)) == len(kept.times) and np.all(np.diff(kept.times) > 0)
+        picks = nearest_fixes(times, session.start_time, session.n_minutes)
+        chosen = picks[picks >= 0]
+        assert kept.times.tolist() == [30.0, 150.0, 270.0, 390.0, 480.0] == times[chosen].tolist()
+        assert kept.lats.tolist() == lats[chosen].tolist() and kept.lons.tolist() == lons[chosen].tolist()
+        raw = fill_gaps(LocStream(times, lats, lons), session.start_time, session.n_minutes)
+        grid = fill_gaps(kept, session.start_time, session.n_minutes)
+        for name in ("lats", "lons", "available"):
+            assert getattr(grid, name).tobytes() == getattr(raw, name).tobytes()
+
+    def test_location_out_of_range_names_the_file(self, tmp_path):
+        write_shl_tree(tmp_path, users=("User1",), minutes=1)
+        path = tmp_path / "User1" / "220617" / "Location.txt"
+        np.savetxt(path, [[0, 0, 5.0, 95.0, 9.0, 0]], fmt="%.6f")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: coordinates out of range$"):
+            ingest(tmp_path)
 
     def test_empty_root_raises(self, tmp_path):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 
 from modemil.geo import (
     EARTH_RADIUS_M,
+    SLOT_SECONDS,
     LocStream,
     LocWindow,
     MinuteGrid,
@@ -12,6 +13,7 @@ from modemil.geo import (
     haversine,
     loc_features,
     movability,
+    nearest_fixes,
 )
 
 
@@ -203,3 +205,78 @@ def test_loc_stream_validation():
 def test_loc_window_is_dataclass_with_availability():
     window = LocWindow(matrix=np.zeros((10, 2)), scalars=np.zeros(5), available=np.ones(12, dtype=bool))
     assert window.availability == 1.0
+
+
+def per_fix_fill_gaps(stream, grid_start, n_slots):
+    """fill_gaps as it stood with a loop over the fixes: the byte reference for ``nearest_fixes``."""
+    ticks = grid_start + SLOT_SECONDS * np.arange(n_slots)
+    lats = np.zeros(n_slots)
+    lons = np.zeros(n_slots)
+    covered = np.zeros(n_slots, dtype=bool)
+    if len(stream.times):
+        slot = np.rint((stream.times - grid_start) / SLOT_SECONDS).astype(np.int64)
+        near = np.abs(stream.times - (grid_start + slot * SLOT_SECONDS)) <= SLOT_SECONDS / 2.0
+        best = np.full(n_slots, np.inf)
+        for i in np.nonzero(near & (slot >= 0) & (slot < n_slots))[0]:
+            s = slot[i]
+            delta = abs(stream.times[i] - ticks[s])
+            if delta < best[s]:
+                best[s] = delta
+                lats[s], lons[s] = stream.lats[i], stream.lons[i]
+                covered[s] = True
+    available = covered.copy()
+    idx = np.nonzero(covered)[0]
+    for left, right in zip(idx[:-1], idx[1:]):
+        missing = right - left - 1
+        if 0 < missing <= 2:
+            frac = np.arange(1, missing + 1) / (missing + 1)
+            lats[left + 1 : right] = lats[left] + frac * (lats[right] - lats[left])
+            lons[left + 1 : right] = lons[left] + frac * (lons[right] - lons[left])
+            available[left + 1 : right] = True
+    return MinuteGrid(times=ticks, lats=lats, lons=lons, available=available)
+
+
+def tie_heavy_times(rng, start, n_slots):
+    """Fix times that put the snapping rule's edge cases on one stream: a half-second lattice,
+    pairs equidistant from a tick, fixes exactly half a minute off a tick, and fixes off the grid."""
+    lattice = start + 0.5 * rng.integers(-240, 2 * 60 * n_slots + 240, size=rng.integers(0, 3 * n_slots + 2))
+    ticks = start + SLOT_SECONDS * rng.integers(-2, n_slots + 2, size=n_slots)
+    offsets = 0.5 * rng.integers(0, 61, size=n_slots)
+    halves = start + SLOT_SECONDS * rng.integers(-1, n_slots + 1, size=n_slots // 2)
+    edges = start + np.array([-SLOT_SECONDS, -31.0, -30.0, SLOT_SECONDS * n_slots - 30.0, SLOT_SECONDS * n_slots + 29.5])
+    times = np.concatenate([lattice, ticks - offsets, ticks + offsets, halves - 30.0, halves + 30.0, edges])
+    return np.unique(times)
+
+
+@pytest.mark.parametrize("start", [0.0, -90.0, -37.25, 12.5, 1e5 + 0.75])
+def test_fill_gaps_is_byte_equal_to_the_per_fix_loop_on_tie_heavy_streams(start):
+    rng = np.random.default_rng(int(abs(start) * 4) % 1000)
+    for n_slots in [0, 1, 2, 5, 12, 40] * 20:
+        times = tie_heavy_times(rng, start, n_slots)
+        stream = LocStream(times=times, lats=rng.uniform(-90, 90, len(times)), lons=rng.uniform(-180, 180, len(times)))
+        grid, expected = fill_gaps(stream, start, n_slots), per_fix_fill_gaps(stream, start, n_slots)
+        for name in ("times", "lats", "lons", "available", "step", "dt", "speed"):
+            a, b = getattr(grid, name), getattr(expected, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+class TestNearestFixes:
+    def test_one_slot_per_fix_and_the_earliest_wins_a_tie(self):
+        # 90 s and 150 s lie half a minute either side of the 120 s tick; rint puts both there
+        assert nearest_fixes(np.array([90.0, 150.0]), 0.0, 4).tolist() == [-1, -1, 0, -1]
+        # a fix half a minute off two ticks serves one of them only
+        assert nearest_fixes(np.array([30.0, 150.0, 270.0]), 0.0, 5).tolist() == [0, -1, 1, -1, 2]
+        # the nearer fix wins; fixes nearer a tick before or past the grid count for nothing
+        assert nearest_fixes(np.array([-31.0, 55.0, 62.0, 100.0, 269.0]), 0.0, 4).tolist() == [-1, 2, 3, -1]
+
+    def test_unsorted_and_repeated_times_pick_the_sorted_streams_fixes(self):
+        rng = np.random.default_rng(7)
+        times = tie_heavy_times(rng, -12.5, 30)
+        picks = nearest_fixes(times, -12.5, 30)
+        order = rng.permutation(np.concatenate([np.arange(len(times)), np.arange(len(times))]))
+        shuffled = nearest_fixes(times[order], -12.5, 30)
+        assert np.array_equal(shuffled >= 0, picks >= 0)
+        assert times[order][shuffled[shuffled >= 0]].tobytes() == times[picks[picks >= 0]].tobytes()
+        # of two rows with one time the first in the file is kept
+        first_row = {t: i for i, t in reversed(list(enumerate(times[order])))}
+        assert all(first_row[times[order][i]] == i for i in shuffled[shuffled >= 0])
